@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark/experiment harness.
 
 Every module in this directory regenerates one conceptual artifact of
-the paper (see DESIGN.md section 4 for the experiment index).  Each
+the paper; its docstring names the experiment, and
+``docs/architecture.md`` describes the machinery it exercises.  Each
 benchmark both *measures* (via pytest-benchmark) and *verifies* the
 paper-expected shape with assertions, and prints the reproduced rows;
 run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.

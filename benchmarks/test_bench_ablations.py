@@ -1,6 +1,7 @@
 """Ablations and Section-5 interactions (design-choice experiments).
 
-Three experiments on the knobs DESIGN.md calls out:
+Three experiments on the knobs ``docs/architecture.md`` describes
+(checker flags and checkpoint restarts, sections 0 and 4):
 
 * **A1 — checker flags are necessary.** With the bank reduced to
   digest comparison only (flags ignored), update *suppression* escapes:

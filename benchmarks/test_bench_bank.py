@@ -7,10 +7,11 @@ ledger collapses an epoch's obligations into one lump-sum batch
 transfer per debtor.  These benchmarks gate the compression, not the
 clock: the default tier demands netted output at least 10x smaller
 than the per-flow transfer list on a 64-node epoch, and the nightly
-tier pushes a million-plus flows through one settle and checks the
-batch-transfer count against the principal-pair count.  Every cell
-also re-derives net money positions both ways and requires them
-bit-identical — compression must never move money.
+tier pushes a million-plus flows through one settle, checks the
+batch-transfer count against the principal-pair count, and dry-runs
+forced settlement over every principal pair of the netted ledger.
+Every cell also re-derives net money positions both ways and requires
+them bit-identical — compression must never move money.
 """
 
 import csv
@@ -23,6 +24,8 @@ import pytest
 
 from repro.analysis import render_table
 from repro.faithful import BankNode, net_positions, synthesize_execution_reports
+from repro.obs import BUS, aggregate_counters
+from repro.obs.events import KIND_SPAN_END
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
 from conftest import once
@@ -144,6 +147,20 @@ def test_bench_settle_million_flows():
     # Money conservation at scale: a closed system nets to ~zero.
     positions = net_positions(netted.transfers)
     assert math.fsum(positions.values()) == pytest.approx(0.0, abs=1e-6)
+    # Forced settlement dry run: one pass audits every principal pair;
+    # the netted epoch paid everything, so nothing is enforced or drawn.
+    with BUS.capture() as sink:
+        outcomes = BankNode().run_forced_settlement(netted.ledger, at_time=0.0)
+    (forced,) = [
+        e for e in sink.events
+        if e.kind == KIND_SPAN_END and e.name == "bank.forced"
+    ]
+    assert forced.attrs["pairs"] == row["principal_pairs"]
+    assert forced.attrs["forced"] == 0 and forced.attrs["draws"] == 0
+    counters = aggregate_counters(sink.events)
+    assert counters.get("bank.forced_settlements", 0) == 0
+    assert counters.get("bank.deposit_draws", 0) == 0
+    assert outcomes == []
 
 
 @pytest.mark.slow

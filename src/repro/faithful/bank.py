@@ -430,7 +430,8 @@ class BankNode(ProtocolNode):
         Delegates to :func:`~repro.faithful.settlement.
         forced_settlement` against this bank's deposit accounts and
         emits the ``bank.forced_settlements`` / ``bank.deposit_draws``
-        telemetry counters.
+        telemetry counters; the ``bank.forced`` span notes how many
+        principal pairs were audited (``pairs``).
         """
         sim_time = self.now if self._sim is not None else None
         with span(
@@ -444,7 +445,9 @@ class BankNode(ProtocolNode):
                 tolerance=tolerance,
             )
             draws = sum(1 for outcome in outcomes if outcome.drawn > 0)
-            forced_span.note(forced=len(outcomes), draws=draws)
+            forced_span.note(
+                forced=len(outcomes), draws=draws, pairs=ledger.pairs_audited
+            )
             if outcomes:
                 emit_counters(
                     "bank",

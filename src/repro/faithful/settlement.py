@@ -14,14 +14,17 @@ debtor's deposit, epsilon-penalty preserved.
 Exactness contract
 ------------------
 All money reductions in this module use :func:`math.fsum`, which is
-exactly rounded over its input multiset.  Netting groups obligations
-by unordered principal pair and reduces each pair's *signed*
-contributions with one fsum; :func:`net_positions` performs the same
-pair-grouped reduction for any transfer list.  Per-flow transfers and
-the batch transfers netted from them therefore produce **bit-identical**
-net positions — the property `tests/faithful/test_settlement_
-equivalence.py` checks — and after :meth:`NettingLedger.close_epoch`
-every pair audits to an unpaid balance of exactly ``0.0``.
+exactly rounded over its input multiset.  Netting, :func:`net_positions`,
+the audit and forced settlement all start from :func:`_pair_nets`: one
+pass that groups *signed* amounts per unordered principal pair and
+reduces each group with one fsum.
+Per-flow transfers and the batch transfers netted from them therefore
+produce **bit-identical** net positions — the property
+`tests/faithful/test_settlement_equivalence.py` checks — and after
+:meth:`NettingLedger.close_epoch` every pair audits to exactly ``0.0``.
+Forced settlement nets trace and transfers once: O(trace + transfers +
+pairs log pairs).  Read against its direction, a pair net is ``0.0 -
+net``, not ``-net``, so a zero balance is never ``-0.0``.
 """
 
 from __future__ import annotations
@@ -124,6 +127,27 @@ def _pair_key(a: NodeId, b: NodeId) -> Tuple[NodeId, NodeId]:
     return (a, b) if repr(a) <= repr(b) else (b, a)
 
 
+PairNets = Dict[Tuple[NodeId, NodeId], float]
+
+
+def _pair_nets(rows: Iterable[Tuple[NodeId, NodeId, float]]) -> PairNets:
+    """Fsum-exact signed net per unordered pair, one pass over the rows.
+
+    A net is positive when the repr-smaller endpoint pays the larger.
+    """
+    groups: Dict[Tuple[NodeId, NodeId], List[float]] = {}
+    for payer, payee, amount in rows:
+        key = _pair_key(payer, payee)
+        groups.setdefault(key, []).append(amount if payer == key[0] else -amount)
+    return {key: math.fsum(terms) for key, terms in groups.items()}
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Reject a NaN or infinite time (NaN compares false to everything)."""
+    if not math.isfinite(value):
+        raise ProtocolError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class NettingLedger:
     """Per-epoch accumulation of transit obligations between pairs.
@@ -143,6 +167,8 @@ class NettingLedger:
     #: Every batch transfer issued so far (append-only).
     transfers: List[BatchTransfer] = field(default_factory=list)
     epochs_closed: int = 0
+    #: Principal pairs the last :func:`forced_settlement` audited.
+    pairs_audited: int = 0
 
     def record(
         self, debtor: NodeId, creditor: NodeId, amount: float, accepted_at: float
@@ -152,6 +178,11 @@ class NettingLedger:
             raise ProtocolError(
                 f"obligation debtor and creditor are the same node: {debtor!r}"
             )
+        if not (math.isfinite(amount) and amount >= 0):
+            raise ProtocolError(
+                f"obligation amount must be finite and >= 0, got {amount!r}"
+            )
+        _require_finite("accepted_at", accepted_at)
         obligation = Obligation(debtor, creditor, amount, accepted_at)
         self._pending.append(obligation)
         self.trace.append(obligation)
@@ -178,6 +209,7 @@ class NettingLedger:
         closure time bounds what it discharges.  Pairwise nets are
         fsum-exact; transfers and their payouts are repr-sorted.
         """
+        _require_finite("closure_time", closure_time)
         for obligation in self._pending:
             if obligation.accepted_at > closure_time:
                 raise ProtocolError(
@@ -185,21 +217,10 @@ class NettingLedger:
                     f"{closure_time} does not cover obligation accepted at "
                     f"{obligation.accepted_at}"
                 )
-        # Signed contribution per unordered pair: positive means the
-        # repr-smaller endpoint owes the repr-larger one.
-        contributions: Dict[Tuple[NodeId, NodeId], List[float]] = {}
-        for obligation in self._pending:
-            key = _pair_key(obligation.debtor, obligation.creditor)
-            signed = (
-                obligation.amount
-                if obligation.debtor == key[0]
-                else -obligation.amount
-            )
-            contributions.setdefault(key, []).append(signed)
-
+        nets = _pair_nets((o.debtor, o.creditor, o.amount) for o in self._pending)
         payouts: Dict[NodeId, List[Tuple[NodeId, float]]] = {}
-        for key in sorted(contributions, key=repr):
-            net = math.fsum(contributions[key])
+        for key in sorted(nets, key=repr):
+            net = nets[key]
             if net > 0:
                 payouts.setdefault(key[0], []).append((key[1], net))
             elif net < 0:
@@ -236,27 +257,37 @@ def net_positions(
     ``nodes`` pre-seeds keys for nodes that may not appear in any
     transfer (their position is 0.0).
     """
-    contributions: Dict[Tuple[NodeId, NodeId], List[float]] = {}
-    for transfer in transfers:
-        if isinstance(transfer, BatchTransfer):
-            rows = transfer.triples()
-        else:
-            rows = [transfer]
-        for payer, payee, amount in rows:
-            key = _pair_key(payer, payee)
-            signed = amount if payer == key[0] else -amount
-            contributions.setdefault(key, []).append(signed)
-
+    nets = _pair_nets(
+        row
+        for t in transfers
+        for row in (t.triples() if isinstance(t, BatchTransfer) else (t,))
+    )
     pair_terms: Dict[NodeId, List[float]] = {}
     if nodes is not None:
         for node in sorted(nodes, key=repr):
             pair_terms.setdefault(node, [])
-    for key in sorted(contributions, key=repr):
-        value = math.fsum(contributions[key])
+    for key in sorted(nets, key=repr):
+        value = nets[key]
         # key[0] pays value toward key[1] (negative when reversed).
         pair_terms.setdefault(key[0], []).append(-value)
         pair_terms.setdefault(key[1], []).append(value)
     return {node: math.fsum(terms) for node, terms in pair_terms.items()}
+
+
+def _audit_nets(
+    trace: Iterable[Obligation], transfers: Iterable[BatchTransfer], at_time: float
+) -> Tuple[PairNets, PairNets]:
+    """Owed (trace) and paid (payout) pair nets as of ``at_time``, one pass each."""
+    owed = _pair_nets(
+        (o.debtor, o.creditor, o.amount) for o in trace if o.accepted_at <= at_time
+    )
+    paid = _pair_nets(
+        (transfer.debtor, payee, amount)
+        for transfer in transfers
+        if transfer.closure_time <= at_time
+        for payee, amount in transfer.payouts
+    )
+    return owed, paid
 
 
 def settlement_audit(
@@ -276,32 +307,13 @@ def settlement_audit(
     fsum-exact, so right after an epoch close the unpaid balance of
     every settled pair is exactly ``0.0``.
     """
-    owed_terms: List[float] = []
-    for obligation in trace:
-        if obligation.accepted_at > at_time:
-            continue
-        if obligation.debtor == debtor and obligation.creditor == creditor:
-            owed_terms.append(obligation.amount)
-        elif obligation.debtor == creditor and obligation.creditor == debtor:
-            owed_terms.append(-obligation.amount)
-
-    paid_terms: List[float] = []
-    for transfer in transfers:
-        if transfer.closure_time > at_time:
-            continue
-        for payee, amount in transfer.payouts:
-            if transfer.debtor == debtor and payee == creditor:
-                paid_terms.append(amount)
-            elif transfer.debtor == creditor and payee == debtor:
-                paid_terms.append(-amount)
-
-    return AuditReport(
-        debtor=debtor,
-        creditor=creditor,
-        at_time=at_time,
-        owed=math.fsum(owed_terms),
-        paid=math.fsum(paid_terms),
-    )
+    _require_finite("at_time", at_time)
+    owed, paid = _audit_nets(trace, transfers, at_time)
+    key = _pair_key(debtor, creditor)
+    owed_net, paid_net = owed.get(key, 0.0), paid.get(key, 0.0)
+    if debtor != key[0]:
+        owed_net, paid_net = 0.0 - owed_net, 0.0 - paid_net
+    return AuditReport(debtor, creditor, at_time, owed=owed_net, paid=paid_net)
 
 
 def forced_settlement(
@@ -314,55 +326,41 @@ def forced_settlement(
     """Enforce audited shortfalls against the debtors' deposits.
 
     Audits every principal pair that appears in the signed trace up to
-    ``at_time``; where the unpaid balance exceeds ``tolerance``, draws
-    ``min(deposit, shortfall)`` from the defaulting debtor's deposit,
-    issues a covering :class:`BatchTransfer` for the drawn amount, and
-    applies the paper's epsilon penalty on top — deviation (here:
-    non-payment) must end strictly below the faithful outcome.
+    ``at_time``, in repr order; where the unpaid balance exceeds
+    ``tolerance``, draws ``min(deposit, shortfall)`` from the
+    defaulting debtor's deposit, issues a covering
+    :class:`BatchTransfer` for the drawn amount, and applies the
+    paper's epsilon penalty on top — deviation (here: non-payment)
+    must end strictly below the faithful outcome.
+
+    The trace and the transfers are netted by pair once, up front.
+    That is exact: a forced transfer appended during the loop only
+    touches the pair being processed, which is never audited again.
 
     Money conservation: the sum of deposit draws equals the sum of
     forced transfer totals exactly, and no deposit goes negative.
     """
-    pairs: List[Tuple[NodeId, NodeId]] = []
-    seen: Dict[Tuple[NodeId, NodeId], bool] = {}
-    for obligation in ledger.trace:
-        if obligation.accepted_at > at_time:
-            continue
-        key = _pair_key(obligation.debtor, obligation.creditor)
-        if key not in seen:
-            seen[key] = True
-            pairs.append(key)
-
+    _require_finite("at_time", at_time)
+    owed, paid = _audit_nets(ledger.trace, ledger.transfers, at_time)
+    ledger.pairs_audited = len(owed)
     outcomes: List[ForcedPayment] = []
-    for a, b in sorted(pairs, key=repr):
-        report = settlement_audit(ledger.trace, ledger.transfers, a, b, at_time)
-        if abs(report.unpaid) <= tolerance:
+    for a, b in sorted(owed, key=repr):
+        unpaid = owed[a, b] - paid.get((a, b), 0.0)
+        if abs(unpaid) <= tolerance:
             continue
-        if report.unpaid > 0:
-            debtor, creditor, shortfall = a, b, report.unpaid
+        if unpaid > 0:
+            debtor, creditor, shortfall = a, b, unpaid
         else:
-            debtor, creditor, shortfall = b, a, -report.unpaid
+            debtor, creditor, shortfall = b, a, -unpaid
         balance = deposits.get(debtor, 0.0)
-        drawn = min(balance, shortfall)
-        if drawn < 0:
-            drawn = 0.0
+        drawn = max(min(balance, shortfall), 0.0)
         deposits[debtor] = balance - drawn
         if drawn > 0:
             ledger.transfers.append(
-                BatchTransfer(
-                    debtor=debtor,
-                    closure_time=at_time,
-                    payouts=((creditor, drawn),),
-                )
+                BatchTransfer(debtor, at_time, payouts=((creditor, drawn),))
             )
         outcomes.append(
-            ForcedPayment(
-                debtor=debtor,
-                creditor=creditor,
-                shortfall=shortfall,
-                drawn=drawn,
-                penalty=epsilon,
-            )
+            ForcedPayment(debtor, creditor, shortfall, drawn, penalty=epsilon)
         )
     return outcomes
 

@@ -7,7 +7,7 @@ same integrity property with HMAC-SHA256 over a canonical rendering of
 the payload, under per-node keys held by a registry that models the
 pre-existing key distribution the paper assumes.
 
-This is a *substitution* documented in DESIGN.md: real deployments
+This is a deliberate *substitution*: real deployments
 would use public-key signatures; the property exercised by the code —
 that intermediaries cannot undetectably alter or forge bank traffic —
 is identical.

@@ -28,6 +28,8 @@ from repro.faithful import (
 from repro.routing import figure1_graph
 from repro.workloads import uniform_all_pairs
 
+import settlement_oracle as oracle
+
 
 class TestNettingLedger:
     def test_nets_pairwise_and_batches_per_debtor(self):
@@ -64,6 +66,42 @@ class TestNettingLedger:
         with pytest.raises(ProtocolError, match="same node"):
             ledger.record("A", "A", 1.0, accepted_at=0.0)
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amount_rejected(self, amount):
+        # A NaN shortfall once drew the debtor's whole deposit, and an
+        # inf amount netted into a batch transfer paying inf.
+        ledger = NettingLedger()
+        with pytest.raises(ProtocolError, match="finite and >= 0"):
+            ledger.record("A", "B", amount, accepted_at=0.0)
+        assert ledger.trace == [] and ledger.pending_count == 0
+
+    def test_negative_amount_rejected(self):
+        ledger = NettingLedger()
+        with pytest.raises(ProtocolError, match="finite and >= 0"):
+            ledger.record("A", "B", -1.0, accepted_at=0.0)
+
+    def test_zero_amount_accepted(self):
+        # The bank records ``charge_map.get(transit, 0.0)`` verbatim.
+        ledger = NettingLedger()
+        ledger.record("A", "B", 0.0, accepted_at=0.0)
+        assert ledger.close_epoch(0.0) == []
+        assert len(ledger.trace) == 1
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf, -math.inf])
+    def test_non_finite_accepted_at_rejected(self, when):
+        ledger = NettingLedger()
+        with pytest.raises(ProtocolError, match="accepted_at must be finite"):
+            ledger.record("A", "B", 1.0, accepted_at=when)
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf])
+    def test_non_finite_closure_time_rejected(self, when):
+        # NaN compares false, so a NaN closure would "cover" anything.
+        ledger = NettingLedger()
+        ledger.record("A", "B", 1.0, accepted_at=5.0)
+        with pytest.raises(ProtocolError, match="closure_time must be finite"):
+            ledger.close_epoch(when)
+        assert ledger.pending_count == 1 and ledger.transfers == []
+
     def test_record_many(self):
         ledger = NettingLedger()
         ledger.record_many(
@@ -99,6 +137,23 @@ class TestSettlementAudit:
         late = settlement_audit(ledger.trace, ledger.transfers, "A", "B", 2.0)
         assert late.owed == pytest.approx(5.0)
         assert late.unpaid == 0.0
+
+    def test_reverse_direction_of_settled_pair_is_positive_zero(self):
+        ledger = NettingLedger()
+        ledger.record("A", "B", 3.0, accepted_at=0.0)
+        ledger.record("B", "A", 3.0, accepted_at=0.0)
+        forward = settlement_audit(ledger.trace, ledger.transfers, "A", "B", 0.0)
+        reverse = settlement_audit(ledger.trace, ledger.transfers, "B", "A", 0.0)
+        for report in (forward, reverse):
+            assert math.copysign(1.0, report.owed) == 1.0
+            assert math.copysign(1.0, report.paid) == 1.0
+        assert "-0.0" not in repr(reverse)
+
+    def test_non_finite_at_time_rejected(self):
+        ledger = NettingLedger()
+        ledger.record("A", "B", 3.0, accepted_at=0.0)
+        with pytest.raises(ProtocolError, match="at_time must be finite"):
+            settlement_audit(ledger.trace, ledger.transfers, "A", "B", math.nan)
 
     def test_reverse_direction_is_negative(self):
         ledger = NettingLedger()
@@ -142,6 +197,25 @@ class TestForcedSettlement:
         (outcome,) = outcomes
         assert outcome.drawn == 0.0
         assert outcome.penalty == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf, -math.inf])
+    def test_non_finite_at_time_rejected(self, when):
+        ledger = NettingLedger()
+        ledger.record("A", "B", 5.0, accepted_at=0.0)
+        deposits = {"A": 100.0}
+        with pytest.raises(ProtocolError, match="at_time must be finite"):
+            forced_settlement(ledger, deposits, at_time=when)
+        assert deposits == {"A": 100.0} and ledger.transfers == []
+
+    def test_counts_audited_pairs(self):
+        ledger = NettingLedger()
+        ledger.record("A", "B", 1.0, accepted_at=0.0)
+        ledger.record("B", "A", 2.0, accepted_at=0.0)
+        ledger.record("C", "A", 2.0, accepted_at=0.0)
+        ledger.close_epoch(0.0)
+        ledger.record("C", "D", 2.0, accepted_at=3.0)  # after at_time
+        assert forced_settlement(ledger, {}, at_time=0.0) == []
+        assert ledger.pairs_audited == 2
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -210,6 +284,52 @@ class TestForcedSettlement:
             assert report.shortfall == pytest.approx(
                 outcome.shortfall - outcome.drawn, abs=1e-9
             )
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def forced_settlement_scans(settle, pairs):
+    """(trace, transfers) iterations of ``settle`` over ``pairs`` pairs.
+
+    Every pair nets one paid epoch and one unpaid one, and every debtor
+    holds a deposit, so the loop audits, draws and appends per pair.
+    """
+    ledger = NettingLedger()
+    for i in range(pairs):
+        ledger.record(f"d{i:03d}", f"c{i:03d}", 1.0, accepted_at=0.0)
+    ledger.close_epoch(0.0)
+    for i in range(pairs):
+        ledger.record(f"d{i:03d}", f"c{i:03d}", 2.0, accepted_at=1.0)
+    ledger.trace = CountingList(ledger.trace)
+    ledger.transfers = CountingList(ledger.transfers)
+    deposits = {f"d{i:03d}": 1.5 for i in range(pairs)}
+    outcomes = settle(ledger, deposits, at_time=1.0)
+    assert len(outcomes) == pairs
+    assert len(ledger.transfers) == 2 * pairs
+    return ledger.trace.iterations, ledger.transfers.iterations
+
+
+class TestForcedSettlementScans:
+    """Exact complexity gate: one scan of each list, whatever the size."""
+
+    def test_one_scan_each_at_any_pair_count(self):
+        assert forced_settlement_scans(forced_settlement, 2) == (1, 1)
+        assert forced_settlement_scans(forced_settlement, 500) == (1, 1)
+
+    def test_gate_catches_per_pair_rescans(self):
+        # The per-pair oracle rescans both lists once per pair.
+        assert forced_settlement_scans(oracle.forced_settlement, 2) == (3, 2)
+        assert forced_settlement_scans(oracle.forced_settlement, 50) == (51, 50)
 
 
 class TestBankDeposits:
