@@ -118,18 +118,23 @@ def test_bench_checked_convergence_64(benchmark):
     print(
         render_table(
             ["n", "edges", "seconds", "phase-2 ev", "checker comps",
-             "shared hits", "rows ingested"],
+             "shared hits", "rows ingested", "avoid rescans"],
             [[64, len(graph.edges), round(elapsed, 3),
               checked.phase2_events,
               checked.metrics["total_checker_computations"],
               checked.kernel_stats.shared_hits,
-              checked.kernel_stats.rows_ingested]],
+              checked.kernel_stats.rows_ingested,
+              checked.kernel_stats.avoid_rescans]],
             title="Checked 64-node convergence (shared kernel, "
             "oracle + kernel verified)",
         )
     )
     assert not checked.flags
     assert_copies_coalesced(checked)
+    # Exact work of the shared kernels: the rows are the wire's (fixed by
+    # the protocol), the rescans the kernel's entry-time rule.
+    assert checked.kernel_stats.rows_ingested == 1_757_887
+    assert checked.kernel_stats.avoid_rescans == 21_824
     assert elapsed < BOUND_64
 
 

@@ -48,6 +48,7 @@ from ..errors import ConvergenceError, SimulationError
 from ..obs.trace import emit_counters, emit_marker
 from ..routing.dynamic import verify_epoch_equivalence
 from ..routing.convergence import topology_from_graph
+from ..routing.fpss import install_key_space
 from ..routing.graph import ASGraph, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
 from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_epoch
@@ -179,16 +180,18 @@ def run_checked_churn(
         trace_enabled=False,
         batch_delivery=batch_delivery,
     )
-    pool = MirrorKernelPool() if shared_checking else None
     factory = node_factory or (
         lambda node_id, cost, signing: FaithfulRoutingNode(node_id, cost, signing)
     )
     nodes: Dict[NodeId, FaithfulRoutingNode] = {}
     for node_id in graph.nodes:
         node = factory(node_id, graph.cost(node_id), None)
-        node.mirror_pool = pool
         nodes[node_id] = node
         simulator.add_node(node)
+    keys = install_key_space(nodes)
+    pool = MirrorKernelPool(keys) if shared_checking else None
+    for node in nodes.values():
+        node.mirror_pool = pool
     node_ids = tuple(sorted(nodes, key=repr))
     flows = sorted(dict(traffic or {}).items(), key=repr)
     ledger = NettingLedger() if flows else None

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import ConvergenceError
 from ..obs.trace import emit_marker
-from ..routing.fpss import FPSSNode
+from ..routing.fpss import FPSSNode, install_key_space
 from ..routing.graph import ASGraph, Cost, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
 from ..sim.crypto import SigningAuthority
@@ -159,15 +159,17 @@ class FaithfulFPSSProtocol:
             trace_enabled=self.trace_enabled,
         )
         nodes: Dict[NodeId, FaithfulRoutingNode] = {}
-        self.mirror_pool = MirrorKernelPool() if self.shared_checking else None
         for node_id in self.graph.nodes:
             signing.register(node_id)
             node = self.node_factory(node_id, self.graph.cost(node_id), signing)
             if self.node_adapters is not None:
                 self.node_adapters(node)
-            node.mirror_pool = self.mirror_pool
             nodes[node_id] = node
             simulator.add_node(node)
+        keys = install_key_space(nodes)
+        self.mirror_pool = MirrorKernelPool(keys) if self.shared_checking else None
+        for node in nodes.values():
+            node.mirror_pool = self.mirror_pool
         signing.register(BANK_ID)
         bank = BankNode(signing)
         simulator.add_node(bank, well_known=True)
@@ -389,6 +391,7 @@ class PlainFPSSProtocol:
             node = self.node_factory(node_id, self.graph.cost(node_id))
             nodes[node_id] = node
             simulator.add_node(node)
+        install_key_space(nodes)
         node_ids = tuple(sorted(nodes, key=repr))
 
         construction_events = 0
@@ -496,16 +499,18 @@ def run_checked_construction(
         trace_enabled=False,
         batch_delivery=batch_delivery,
     )
-    pool = MirrorKernelPool() if shared_checking else None
     factory = node_factory or (
         lambda node_id, cost, signing: FaithfulRoutingNode(node_id, cost, signing)
     )
     nodes: Dict[NodeId, FaithfulRoutingNode] = {}
     for node_id in graph.nodes:
         node = factory(node_id, graph.cost(node_id), None)
-        node.mirror_pool = pool
         nodes[node_id] = node
         simulator.add_node(node)
+    keys = install_key_space(nodes)
+    pool = MirrorKernelPool(keys) if shared_checking else None
+    for node in nodes.values():
+        node.mirror_pool = pool
     node_ids = tuple(sorted(nodes, key=repr))
 
     emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")

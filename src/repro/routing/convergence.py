@@ -20,7 +20,7 @@ from ..errors import ConvergenceError
 from ..sim.network import NetworkTopology
 from ..sim.simulator import Simulator
 from .engine import engine_for
-from .fpss import FPSSNode
+from .fpss import FPSSNode, install_key_space, shared_key_space
 from .graph import ASGraph, Cost, NodeId
 from .kernel import kernel_fixed_point
 from .vcg_payments import route_payments
@@ -80,6 +80,7 @@ def build_plain_network(
         node = factory(node_id, graph.cost(node_id))
         nodes[node_id] = node
         simulator.add_node(node)
+    install_key_space(nodes)
     return simulator, nodes
 
 
@@ -263,7 +264,7 @@ def verify_against_kernel(graph: ASGraph, nodes: Mapping[NodeId, FPSSNode]) -> N
     ConvergenceError
         On the first digest disagreement.
     """
-    kernels = kernel_fixed_point(graph)
+    kernels = kernel_fixed_point(graph, keys=shared_key_space(nodes))
     for node_id, kernel in kernels.items():
         comp = nodes[node_id].comp
         if comp is None:

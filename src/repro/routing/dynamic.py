@@ -45,7 +45,7 @@ from .convergence import (
     build_plain_network,
     run_construction_phases,
 )
-from .fpss import FPSSNode
+from .fpss import FPSSNode, shared_key_space
 from .graph import ASGraph, Cost, NodeId
 from .kernel import kernel_fixed_point, _sort_key
 
@@ -82,7 +82,7 @@ def verify_epoch_equivalence(
     ConvergenceError
         On the first digest disagreement.
     """
-    kernels = kernel_fixed_point(graph)
+    kernels = kernel_fixed_point(graph, keys=shared_key_space(nodes))
     for node_id, kernel in kernels.items():
         node = nodes.get(node_id)
         comp = node.comp if node is not None else None
@@ -183,6 +183,8 @@ class DynamicTopologyEngine:
             link_delays=link_delays,
             batch_delivery=batch_delivery,
         )
+        #: The run's key space; joiners append to it.
+        self.key_space = shared_key_space(self.nodes)
         self.active: Set[NodeId] = set(graph.nodes)
         self.epoch = 0
         self.reports: List[EpochReport] = []
@@ -366,6 +368,7 @@ class DynamicTopologyEngine:
             new_cost = float(event.cost)  # type: ignore[arg-type]
             topology.add_node(node_id)
             node = self._factory(node_id, new_cost)
+            node.key_space = self.key_space
             self.nodes[node_id] = node
             self.simulator.add_node(node)
             peers = []

@@ -69,6 +69,7 @@ from .kernel import (
     KIND_RT_UPDATE,
     AvoidKey,
     AvoidVector,
+    KeySpace,
     ReplayKernel,
     RouteVector,
     _sort_key,
@@ -103,6 +104,8 @@ __all__ = [
     "decode_avoid_vector",
     "encode_route_delta",
     "encode_avoid_delta",
+    "install_key_space",
+    "shared_key_space",
 ]
 
 
@@ -221,6 +224,26 @@ class FPSSComputation(ReplayKernel):
     """
 
 
+def install_key_space(nodes: Mapping[NodeId, "FPSSNode"]) -> KeySpace:
+    """Give every node of a run one shared :class:`KeySpace`; returns it.
+
+    Built from the run's node set in repr order, so ids equal ranks on
+    a static run.  Pass the result to the run's
+    :class:`~repro.routing.kernel.MirrorKernelPool`.
+    """
+    keys = KeySpace(nodes)
+    for node in nodes.values():
+        node.key_space = keys
+    return keys
+
+
+def shared_key_space(nodes: Mapping[NodeId, "FPSSNode"]) -> Optional[KeySpace]:
+    """The key space every node of a run shares, or None if they do not."""
+    spaces = [node.key_space for node in nodes.values()]
+    first = spaces[0] if spaces else None
+    return first if all(space is first for space in spaces) else None
+
+
 class FPSSNode(ProtocolNode):
     """A trusting FPSS participant (the original, non-faithful protocol).
 
@@ -238,6 +261,9 @@ class FPSSNode(ProtocolNode):
         super().__init__(node_id)
         self.true_cost = float(true_cost)
         self.comp: Optional[FPSSComputation] = None
+        #: The run's shared key space (see :func:`install_key_space`);
+        #: None gives each computation a private one.
+        self.key_space: Optional[KeySpace] = None
         self.phase: str = "idle"
         #: Batched-delivery state: while a batch is being applied the
         #: phase-2 handlers only ingest inputs and set the pending
@@ -291,7 +317,7 @@ class FPSSNode(ProtocolNode):
     def start_phase1(self) -> None:
         """Begin the first construction phase: declare and flood costs."""
         self.comp = FPSSComputation(
-            self.node_id, self.neighbors, self.declared_cost()
+            self.node_id, self.neighbors, self.declared_cost(), keys=self.key_space
         )
         self._kernel_emitted = {}
         self.phase = "phase1"
@@ -558,7 +584,7 @@ class FPSSNode(ProtocolNode):
         through the normal broadcast path.
         """
         self.comp = FPSSComputation(
-            self.node_id, self.neighbors, self.declared_cost()
+            self.node_id, self.neighbors, self.declared_cost(), keys=self.key_space
         )
         self._kernel_emitted = {}
         for node, cost in sorted(known_costs.items(), key=lambda kv: _sort_key(kv[0])):

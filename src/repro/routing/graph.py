@@ -10,6 +10,7 @@ every source-destination pair connected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -37,6 +38,8 @@ class ASGraph:
     ) -> None:
         self._costs: Dict[NodeId, Cost] = {}
         for node, cost in costs.items():
+            if not math.isfinite(cost):
+                raise GraphError(f"transit cost of {node!r} is not finite: {cost}")
             if cost < 0:
                 raise GraphError(f"transit cost of {node!r} is negative: {cost}")
             self._costs[node] = float(cost)

@@ -22,12 +22,14 @@ Columnar hot path
 -----------------
 The ingest → fused relaxation → changed-key-set hot path runs over flat
 parallel lists indexed by dense int ids: node ids and
-``(destination, avoided)`` keys are interned once per kernel, replay
-state lives in id-indexed columns, and every canonical drain sorts ids
-by a precomputed id→rank permutation instead of re-deriving ``repr``
-sort keys per call (rank order equals ``_sort_key`` order by
-construction — see the :class:`ReplayKernel` docstring and
-``docs/determinism.md``).  The previous dict-keyed implementation is
+``(destination, avoided)`` keys are interned once per *run* in a shared
+:class:`KeySpace`, replay state lives in per-kernel id-indexed columns,
+and every canonical drain sorts ids by the space's id→rank permutation
+instead of re-deriving ``repr`` sort keys per call (rank order equals
+``_sort_key`` order by construction, and ids never escape — see the
+:class:`KeySpace` docstring and ``docs/determinism.md``).  Table
+digests are memoized by the tables themselves, so every checker of a
+principal reads one hash.  The previous dict-keyed implementation is
 retained verbatim as
 :class:`~repro.routing.kernel_dict.DictReplayKernel`, the equivalence
 oracle the columnar kernel is property-tested bit-identical against.
@@ -84,9 +86,12 @@ from __future__ import annotations
 
 # purity: kernel
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 from ..errors import ConvergenceError, ProtocolError
 from ..sim.crypto import stable_hash
@@ -228,6 +233,67 @@ class KernelSnapshot:
         )
 
 
+class KeySpace:
+    """Run-level interning of node ids and ``(destination, avoided)`` keys.
+
+    One space serves every kernel of a run — principals, the mirror
+    pool's shared kernels and :func:`kernel_fixed_point` — so a key is
+    interned once per run, not once per kernel.  It holds only pure
+    key-to-id maps and their decomposition columns (``avoid_dest`` /
+    ``avoid_avoided``, and ``dest_aids``: per destination id, its
+    avoidance ids); replay state stays in each kernel's own columns.
+
+    Ids are handed out in first-seen order, so they depend on which
+    kernel met a key first; they therefore never escape.  Every drain
+    sorts by :attr:`rank`, kept equal to ``_sort_key`` order over all
+    interned nodes by ordered insertion.  Built from a run's node set
+    (repr order), ids equal ranks until a join appends.
+    """
+
+    def __init__(self, nodes: Iterable[NodeId] = ()) -> None:
+        self.node_ids: Dict[NodeId, int] = {}
+        self.nodes: List[NodeId] = []
+        self.rank: List[int] = []  # did -> position in _sort_key order
+        self._ranked: List[int] = []  # dids in rank order
+        self._ranked_keys: List[str] = []  # their sort keys, ascending
+        self.avoid_ids: Dict[AvoidKey, int] = {}
+        self.avoid_keys: List[AvoidKey] = []
+        self.avoid_dest: List[int] = []
+        self.avoid_avoided: List[int] = []
+        self.dest_aids: List[List[int]] = []
+        for node in sorted(nodes, key=_sort_key):
+            self.node_id(node)
+
+    def node_id(self, node: NodeId) -> int:
+        """The dense id of ``node``, interning it on first sight."""
+        did = self.node_ids.get(node)
+        if did is None:
+            did = self.node_ids[node] = len(self.nodes)
+            self.nodes.append(node)
+            self.dest_aids.append([])
+            sort_key = _sort_key(node)
+            pos = bisect_left(self._ranked_keys, sort_key)
+            self._ranked_keys.insert(pos, sort_key)
+            self._ranked.insert(pos, did)
+            self.rank.append(pos)
+            for shifted in self._ranked[pos + 1 :]:
+                self.rank[shifted] += 1
+        return did
+
+    def avoid_id(self, key: AvoidKey) -> int:
+        """The dense id of an avoidance key, interning it on first sight."""
+        aid = self.avoid_ids.get(key)
+        if aid is None:
+            did = self.node_id(key[0])
+            vid = self.node_id(key[1])
+            aid = self.avoid_ids[key] = len(self.avoid_keys)
+            self.avoid_keys.append(key)
+            self.avoid_dest.append(did)
+            self.avoid_avoided.append(vid)
+            self.dest_aids[did].append(aid)
+        return aid
+
+
 class ReplayKernel:
     """Pure FPSS mechanism state for one node, over columnar storage.
 
@@ -244,28 +310,26 @@ class ReplayKernel:
 
     Columnar layout
     ---------------
-    Every node id and every ``(destination, avoided)`` key is interned
-    once per kernel into a contiguous int id (:meth:`_intern_node`,
-    :meth:`_intern_avoid`); the hot-path state lives in flat parallel
-    lists indexed by those ids:
+    Node ids and ``(destination, avoided)`` keys come from a
+    :class:`KeySpace` shared by every kernel of the run (``keys``; a
+    private space when none is passed).  The kernel owns only its
+    replay-state columns, indexed by those ids and grown in place to the
+    space's size (:meth:`_grow`):
 
     * ``_ref_col[did]`` — destination-universe reference counts;
     * ``_route_state_col[did]`` / ``_avoid_state_col[aid]`` — the
       reigning argmin per key (stripped candidates);
-    * ``_avoid_dest[aid]`` / ``_avoid_avoided[aid]`` /
-      ``_avoid_keys[aid]`` — key-id decomposition columns;
+    * ``_offered[aid]`` — offer-history flags, read per destination
+      through the space's ``dest_aids`` list;
     * per-neighbour offer stores keyed on int ids
       (``_route_offers[n][did]``, ``_avoid_offers[n][aid]``).
 
     Dirty/changed bookkeeping is sets of int ids, and every canonical
-    drain sorts ids by the precomputed ``_node_rank`` permutation
-    instead of re-deriving ``repr`` sort keys per call.  Ranks are
-    maintained by ordered insertion at interning time, so rank order
-    equals ``_sort_key`` order over all interned ids at every drain —
-    the equivalence argument for replacing repr-sort on the hot path
-    (see ``docs/determinism.md``).  Interning tables survive
-    :meth:`reset_phase2` (they are pure key-to-id maps); all replay
-    state columns are rebuilt.
+    drain sorts ids by the space's rank permutation, which equals
+    ``_sort_key`` order over all interned ids at every drain — the
+    equivalence argument for replacing repr-sort on the hot path (see
+    ``docs/determinism.md``).  The space survives :meth:`reset_phase2`
+    (it is a pure key-to-id map); all replay state columns are rebuilt.
 
     The pre-columnar dict-keyed implementation is retained verbatim as
     :class:`~repro.routing.kernel_dict.DictReplayKernel` and
@@ -282,10 +346,16 @@ class ReplayKernel:
     own_cost:
         The transit cost the owner *declares* (truthful for obedient
         nodes; a lie is an information-revelation deviation).
+    keys:
+        The run's :class:`KeySpace` (a private one when None).
     """
 
     def __init__(
-        self, owner: NodeId, neighbors: Sequence[NodeId], own_cost: Cost
+        self,
+        owner: NodeId,
+        neighbors: Sequence[NodeId],
+        own_cost: Cost,
+        keys: Optional[KeySpace] = None,
     ) -> None:
         self.owner = owner
         self.neighbors: Tuple[NodeId, ...] = tuple(sorted(neighbors, key=repr))
@@ -303,102 +373,66 @@ class ReplayKernel:
         self._avoid_offers: Dict[NodeId, Dict[int, Tuple]] = {}
         self.computation_count = 0
         self.stats = KernelStats()
-
-        # Interning tables: node -> did, (destination, avoided) -> aid,
-        # plus the id -> key / id -> rank decomposition columns.  These
-        # are pure key-to-id maps, independent of replay state, so they
-        # survive reset_phase2 (ids stay stable across phase restarts).
-        self._node_ids: Dict[NodeId, int] = {}
-        self._node_keys: List[NodeId] = []
-        #: did -> position of the node in ``_sort_key`` order over all
-        #: interned nodes; maintained by ordered insertion so sorting
-        #: ids by rank is identical to sorting nodes by ``_sort_key``.
-        self._node_rank: List[int] = []
-        self._rank_ids: List[int] = []  # ids in rank order
-        self._rank_sort_keys: List[str] = []  # their sort keys, ascending
-        self._avoid_ids: Dict[AvoidKey, int] = {}
-        self._avoid_keys: List[AvoidKey] = []
-        self._avoid_dest: List[int] = []  # aid -> destination did
-        self._avoid_avoided: List[int] = []  # aid -> avoided did
-
-        # did/aid-indexed state columns; grown by interning, rebuilt by
-        # _reset_incremental_state.
-        self._ref_col: List[int] = []
-        self._route_state_col: List[Optional[Tuple]] = []
-        self._avoid_state_col: List[Optional[Tuple]] = []
-
-        self._owner_id = self._intern_node(owner)
+        self.keys = KeySpace((owner, *self.neighbors)) if keys is None else keys
+        self._owner_id = self.keys.node_id(owner)
         for neighbor in self.neighbors:
-            self._intern_node(neighbor)
+            self.keys.node_id(neighbor)
         self._reset_incremental_state()
 
     # ------------------------------------------------------------------
-    # key interning
+    # key ids and column growth
     # ------------------------------------------------------------------
 
-    def _intern_node(self, node: NodeId) -> int:
-        """The dense id of ``node``, interning it on first sight.
+    def _grow(self) -> None:
+        """Extend the state columns in place to the space's size.
 
-        New ids are inserted into the rank permutation at their
-        ``_sort_key`` position (binary search over the sorted key
-        column), shifting the ranks of all ids ordering after them —
-        O(n) per *new* node, amortised away because the node universe
-        of a run is small and recurs across every broadcast.
+        In place, so column references hoisted into locals stay valid.
         """
-        nid = self._node_ids.get(node)
-        if nid is not None:
-            return nid
-        nid = len(self._node_keys)
-        self._node_ids[node] = nid
-        self._node_keys.append(node)
-        sort_key = _sort_key(node)
-        sort_keys = self._rank_sort_keys
-        lo = 0
-        hi = len(sort_keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sort_keys[mid] < sort_key:
-                lo = mid + 1
-            else:
-                hi = mid
-        sort_keys.insert(lo, sort_key)
-        rank_ids = self._rank_ids
-        rank_ids.insert(lo, nid)
-        rank_col = self._node_rank
-        rank_col.append(lo)
-        for shifted in rank_ids[lo + 1 :]:
-            rank_col[shifted] += 1
-        self._ref_col.append(0)
-        self._route_state_col.append(None)
-        return nid
+        keys = self.keys
+        grow = len(keys.nodes) - len(self._ref_col)
+        if grow:
+            self._ref_col.extend([0] * grow)
+            self._route_state_col.extend([None] * grow)
+        grow = len(keys.avoid_keys) - len(self._avoid_state_col)
+        if grow:
+            self._avoid_state_col.extend([None] * grow)
+            self._offered.extend(bytes(grow))
 
-    def _intern_avoid(self, key: AvoidKey) -> int:
-        """The dense id of an avoidance key, interning it on first sight."""
-        aid = self._avoid_ids.get(key)
-        if aid is None:
-            aid = len(self._avoid_keys)
-            self._avoid_ids[key] = aid
-            self._avoid_keys.append(key)
-            self._avoid_dest.append(self._intern_node(key[0]))
-            self._avoid_avoided.append(self._intern_node(key[1]))
-            self._avoid_state_col.append(None)
+    def _node_id(self, node: NodeId) -> int:
+        """The id of ``node``, with the columns covering it."""
+        did = self.keys.node_id(node)
+        if did >= len(self._ref_col):
+            self._grow()
+        return did
+
+    def _avoid_id(self, key: AvoidKey) -> int:
+        """The id of an avoidance key, with the columns covering it."""
+        aid = self.keys.avoid_id(key)
+        if aid >= len(self._avoid_state_col):
+            self._grow()
         return aid
+
+    def _offered_aids(self, did: int) -> List[int]:
+        """Aids of destination ``did`` that stored an offer since reset."""
+        self._grow()
+        offered = self._offered
+        return [aid for aid in self.keys.dest_aids[did] if offered[aid]]
 
     def _reset_incremental_state(self) -> None:
         """(Re)initialise the delta-recomputation bookkeeping.
 
-        The interning tables persist (ids are stable for the kernel's
-        lifetime); every replay-state column and dirty/changed set is
-        rebuilt at its current interned size.
+        The key space persists (ids are stable for the run); every
+        replay-state column and dirty/changed set is rebuilt at the
+        space's current size.
         """
         #: Reference counts for the destination universe: +1 per
         #: neighbour vector currently announcing the destination, +1 if
         #: it is a neighbour (the base case of the relaxation).  A
         #: destination is relaxed only while its count is positive —
         #: the same universe the full rescans derive on every call.
-        self._ref_col = [0] * len(self._node_keys)
+        self._ref_col = [0] * len(self.keys.nodes)
         owner_id = self._owner_id
-        node_ids = self._node_ids
+        node_ids = self.keys.node_ids
         for neighbor in self.neighbors:
             nid = node_ids[neighbor]
             if nid != owner_id:
@@ -417,21 +451,13 @@ class ReplayKernel:
         self._avoid_rescan: Set[int] = set()
         self._avoid_changed = False
         self._dirty_pricing: Set[int] = set()
-        #: Destination dids that (re)entered the universe and whose
-        #: avoidance keys still need a rescan sweep.  Expanded lazily
-        #: at the next recompute — and only over the keys that ever
-        #: stored an offer — instead of eagerly marking n keys.
-        self._avoid_dest_pending: Set[int] = set()
-        #: Per destination did, the aids that ever had a stored offer
-        #: (grow-only, conservative).  The re-entry sweep scans exactly
-        #: these keys: a key with no offer history and no base case
-        #: (non-neighbour destination) is a no-op in
-        #: :meth:`_relax_avoid`, so skipping it matches the full
-        #: rescan; neighbour destinations keep the all-keys sweep for
-        #: the base case.  Keys with replay state but no offer history
-        #: cannot exist for non-neighbour destinations (the base case
-        #: is their only supplier-free candidate source).
-        self._avoid_keys_by_dest: Dict[int, Set[int]] = {}
+        #: aid -> 1 once an offer was stored for the key (grow-only,
+        #: conservative).  Universe entry and exit rescan exactly the
+        #: flagged keys of a non-neighbour destination: a key with no
+        #: offer and no base case is a no-op in :meth:`_relax_avoid`,
+        #: and such a key cannot hold replay state either (the base
+        #: case is the only supplier-free candidate source).
+        self._offered = bytearray(len(self.keys.avoid_keys))
         #: Ids whose DATA2/avoidance entries changed since the last
         #: announcement was encoded — the O(|changes|) source for delta
         #: broadcasts of the unmodified (suggested) specification.
@@ -443,8 +469,8 @@ class ReplayKernel:
         #: stripped key orders candidates without materialising them.
         #: Tracking the argmin makes a relaxation O(|changed inputs|)
         #: unless the winning input itself worsened.
-        self._route_state_col = [None] * len(self._node_keys)
-        self._avoid_state_col = [None] * len(self._avoid_keys)
+        self._route_state_col = [None] * len(self.keys.nodes)
+        self._avoid_state_col = [None] * len(self.keys.avoid_keys)
 
     # ------------------------------------------------------------------
     # phase 1: transit cost dissemination
@@ -472,8 +498,7 @@ class ReplayKernel:
         dirty = self._dirty_routes
         pricing = self._dirty_pricing
         rescan = self._avoid_rescan
-        keys = self._node_keys
-        intern_avoid = self._intern_avoid
+        keys = self.keys.nodes
         universe = [did for did, count in enumerate(self._ref_col) if count > 0]
         for did in universe:
             dest = keys[did]
@@ -481,20 +506,19 @@ class ReplayKernel:
             pricing.add(did)
             for avoided in known:
                 if avoided != dest:
-                    rescan.add(intern_avoid((dest, avoided)))
+                    rescan.add(self._avoid_id((dest, avoided)))
         # Rows for routed destinations that dropped out of the universe
         # are still re-derived by the full derive_pricing; match it.
         # Marking them dirty also lets the incremental rescan withdraw
         # entries stranded by topology events (inert on static runs,
         # where the universe covers every routed destination).
         ref_col = self._ref_col
-        intern = self._intern_node
         for dest in self.routing.destinations:
-            did = intern(dest)
+            did = self._node_id(dest)
             if ref_col[did] == 0:
                 dirty[did] = None
             pricing.add(did)
-        avoid_ids = self._avoid_ids
+        avoid_ids = self.keys.avoid_ids
         for key in self.avoid:
             rescan.add(avoid_ids[key])
 
@@ -535,7 +559,7 @@ class ReplayKernel:
                     self._universe_discard(did)
         self._avoid_offers.pop(neighbor, None)
         # The base-case reference held for the neighbour itself.
-        self._universe_discard(self._node_ids[neighbor])
+        self._universe_discard(self.keys.node_ids[neighbor])
         self._mark_all_dirty()
 
     def attach_neighbor(self, neighbor: NodeId) -> None:
@@ -551,7 +575,7 @@ class ReplayKernel:
             )
         self.neighbors = tuple(sorted(self.neighbors + (neighbor,), key=repr))
         self._neighbor_set = frozenset(self.neighbors)
-        self._universe_add(self._intern_node(neighbor))
+        self._universe_add(self._node_id(neighbor))
         self._mark_all_dirty()
 
     def retract_cost_declaration(self, node: NodeId) -> bool:
@@ -566,12 +590,13 @@ class ReplayKernel:
             raise ProtocolError(f"{self.owner!r} cannot retract its own cost")
         if not self.costs.retract(node):
             return False
-        vid = self._node_ids.get(node)
+        vid = self.keys.node_ids.get(node)
         if vid is not None:
+            self._grow()
             avoid = self.avoid
-            akeys = self._avoid_keys
+            akeys = self.keys.avoid_keys
             state_col = self._avoid_state_col
-            for aid, avoided_id in enumerate(self._avoid_avoided):
+            for aid, avoided_id in enumerate(self.keys.avoid_avoided):
                 if avoided_id != vid:
                     continue
                 if akeys[aid] in avoid:
@@ -606,12 +631,29 @@ class ReplayKernel:
         count = self._ref_col[did]
         self._ref_col[did] = count + 1
         if count == 0:
-            # The destination just (re)entered the universe: avoidance
-            # inputs stored for it while it was outside become
-            # relaxable, exactly as the full rescan would now see them.
+            # The destination just (re)entered the universe.  Only keys
+            # whose offers were stored while it was outside (flagged at
+            # this instant) are unsettled: offers stored from now on go
+            # through the fused ingest.  A neighbour destination sweeps
+            # its whole key row instead, for the base case.
             self._dirty_routes[did] = None
             self._dirty_pricing.add(did)
-            self._avoid_dest_pending.add(did)
+            dest = self.keys.nodes[did]
+            if dest in self._neighbor_set:
+                skip = (self.owner, dest)
+                self._avoid_rescan.update(
+                    self._avoid_id((dest, v))
+                    for v in self.costs.as_dict()
+                    if v not in skip
+                )
+            else:
+                avoided_col = self.keys.avoid_avoided
+                skip = (self._owner_id, did)
+                self._avoid_rescan.update(
+                    aid
+                    for aid in self._offered_aids(did)
+                    if avoided_col[aid] not in skip
+                )
 
     def _universe_discard(self, did: int) -> None:
         col = self._ref_col
@@ -622,36 +664,19 @@ class ReplayKernel:
                 # The destination left the universe (its last offer was
                 # withdrawn): schedule its avoidance keys so retained
                 # entries are withdrawn by the incremental rescan.  The
-                # offer history covers every key a *wire* withdrawal
-                # can strand; base-case-only keys are released through
+                # offer flags cover every key a *wire* withdrawal can
+                # strand; base-case-only keys are released through
                 # detach_neighbor, which marks everything dirty anyway.
-                history = self._avoid_keys_by_dest.get(did)
-                if history:
-                    self._avoid_rescan.update(history)
+                self._avoid_rescan.update(self._offered_aids(did))
                 self._dirty_pricing.add(did)
         else:
             col[did] = count - 1
-
-    def _note_offer(self, aid: int) -> None:
-        """Record offer history for one key (grow-only, sweep input).
-
-        Every site that stores a previously absent offer must call
-        this: the re-entry rescan sweep trusts the history to cover
-        all keys a full rescan could act on.
-        """
-        offered = self._avoid_keys_by_dest
-        did = self._avoid_dest[aid]
-        keys = offered.get(did)
-        if keys is None:
-            offered[did] = {aid}
-        else:
-            keys.add(aid)
 
     def consume_route_changes(self) -> Set[NodeId]:
         """Destinations whose DATA2 entry changed since last consumed."""
         changes = self._route_changes
         self._route_changes = set()
-        keys = self._node_keys
+        keys = self.keys.nodes
         # lint: allow[unordered-iter] set-to-set id decode; iteration order cannot escape the returned set
         return {keys[did] for did in changes}
 
@@ -659,7 +684,7 @@ class ReplayKernel:
         """Avoidance keys whose entry changed since last consumed."""
         changes = self._avoid_changes
         self._avoid_changes = set()
-        keys = self._avoid_keys
+        keys = self.keys.avoid_keys
         # lint: allow[unordered-iter] set-to-set id decode; iteration order cannot escape the returned set
         return {keys[aid] for aid in changes}
 
@@ -679,8 +704,8 @@ class ReplayKernel:
         changes = self._route_changes
         self._route_changes = set()
         routing = self.routing
-        keys = self._node_keys
-        rank = self._node_rank
+        keys = self.keys.nodes
+        rank = self.keys.rank
         rows = []
         for did in sorted(changes, key=rank.__getitem__):
             dest = keys[did]
@@ -701,10 +726,11 @@ class ReplayKernel:
         changes = self._avoid_changes
         self._avoid_changes = set()
         avoid = self.avoid
-        akeys = self._avoid_keys
-        rank = self._node_rank
-        dest_col = self._avoid_dest
-        avoided_col = self._avoid_avoided
+        space = self.keys
+        akeys = space.avoid_keys
+        rank = space.rank
+        dest_col = space.avoid_dest
+        avoided_col = space.avoid_avoided
         rows = []
         for aid in sorted(
             changes, key=lambda a: (rank[dest_col[a]], rank[avoided_col[a]])
@@ -745,12 +771,11 @@ class ReplayKernel:
             stored = self._route_offers[neighbor] = {}
         owner_id = self._owner_id
         dirty = self._dirty_routes
-        keys = self._node_keys
-        intern = self._intern_node
+        keys = self.keys.nodes
         union = {keys[did] for did in stored}
         union.update(raw)
         for dest in sorted(union, key=_sort_key):
-            did = intern(dest)
+            did = self._node_id(dest)
             offer = raw.get(dest)
             if stored.get(did) == offer:
                 continue
@@ -786,14 +811,14 @@ class ReplayKernel:
             stored = self._route_offers[neighbor] = {}
         owner_id = self._owner_id
         dirty = self._dirty_routes
-        node_ids_get = self._node_ids.get
-        intern = self._intern_node
+        self._grow()  # ids another kernel interned since the last call
+        node_ids_get = self.keys.node_ids.get
         self.stats.rows_ingested += len(rows)
         for row in rows:
             dest = row[0]
             did = node_ids_get(dest)
             if did is None:
-                did = intern(dest)
+                did = self._node_id(dest)
             if row[1] is None:  # withdrawal
                 if did in stored:
                     del stored[did]
@@ -830,23 +855,21 @@ class ReplayKernel:
             stored = self._avoid_offers[neighbor] = {}
         rescan = self._avoid_rescan
         pricing = self._dirty_pricing
-        akeys = self._avoid_keys
-        dest_col = self._avoid_dest
-        intern_avoid = self._intern_avoid
+        akeys = self.keys.avoid_keys
+        dest_col = self.keys.avoid_dest
         union = {akeys[aid] for aid in stored}
         union.update(raw)
         for key in sorted(
             union, key=lambda k: (_sort_key(k[0]), _sort_key(k[1]))
         ):
-            aid = intern_avoid(key)
+            aid = self._avoid_id(key)
             offer = raw.get(key)
             if stored.get(aid) == offer:
                 continue
             if offer is None:
                 del stored[aid]
             else:
-                if aid not in stored:
-                    self._note_offer(aid)
+                self._offered[aid] = 1
                 stored[aid] = offer
             rescan.add(aid)
             pricing.add(dest_col[aid])
@@ -877,18 +900,19 @@ class ReplayKernel:
             stored = self._avoid_offers[neighbor] = {}
         ncost = self.costs.get(neighbor)
         owner = self.owner
+        self._grow()  # ids another kernel interned since the last call
         ref_col = self._ref_col
         state_col = self._avoid_state_col
-        dest_col = self._avoid_dest
+        offered = self._offered
+        dest_col = self.keys.avoid_dest
         rescan_add = self._avoid_rescan.add
         pricing_add = self._dirty_pricing.add
         changes_add = self._avoid_changes.add
-        note_offer = self._note_offer
         knows = self.costs.knows
         avoid = self.avoid
         stored_get = stored.get
-        avoid_ids_get = self._avoid_ids.get
-        intern_avoid = self._intern_avoid
+        avoid_ids_get = self.keys.avoid_ids.get
+        intern_avoid = self._avoid_id
         avoid_changed = self._avoid_changed
         self.stats.rows_ingested += len(rows)
         if ncost is None:
@@ -905,8 +929,7 @@ class ReplayKernel:
                         del stored[aid]
                     continue
                 stored[aid] = row
-                if old is None:
-                    note_offer(aid)
+                offered[aid] = 1
             return
         for row in rows:
             dest, avoided, cost, path = row
@@ -928,8 +951,7 @@ class ReplayKernel:
                         pricing_add(dest_col[aid])  # an argmin tie may shrink
                 continue
             stored[aid] = row  # rows are shared across receivers
-            if old is None:
-                note_offer(aid)
+            offered[aid] = 1
             did = dest_col[aid]
             if not ref_col[did]:
                 # Entries freeze outside the destination universe (the
@@ -1038,18 +1060,17 @@ class ReplayKernel:
         dids: Set[int] = set()
         for vector in self._route_offers.values():
             dids.update(vector)
-        node_ids = self._node_ids
+        node_ids = self.keys.node_ids
         for neighbor in self.neighbors:
             dids.add(node_ids[neighbor])
         # Destinations with an installed entry but no remaining offer
         # (withdrawn by topology events) must be rescanned so the entry
         # is deleted; on a static graph this union adds nothing.
-        intern = self._intern_node
         for dest in self.routing.destinations:
-            dids.add(intern(dest))
+            dids.add(self._node_id(dest))
         dids.discard(self._owner_id)
-        keys = self._node_keys
-        rank = self._node_rank
+        keys = self.keys.nodes
+        rank = self.keys.rank
         for did in sorted(dids, key=rank.__getitem__):
             if self._relax_route(keys[did], None, did):
                 changed = True
@@ -1070,7 +1091,7 @@ class ReplayKernel:
             return False
         self._dirty_routes = {}
         ref_col = self._ref_col
-        keys = self._node_keys
+        keys = self.keys.nodes
         changed = False
         for did, suppliers in dirty.items():
             if not ref_col[did]:
@@ -1087,7 +1108,7 @@ class ReplayKernel:
     def _drop_route_entry(self, did: int) -> bool:
         """Withdraw a destination's DATA2 entry; True if one existed."""
         self._route_state_col[did] = None
-        if self.routing.remove(self._node_keys[did]):
+        if self.routing.remove(self.keys.nodes[did]):
             self._route_changes.add(did)
             self._dirty_pricing.add(did)
             return True
@@ -1096,9 +1117,9 @@ class ReplayKernel:
     def _drop_avoid_entry(self, aid: int) -> bool:
         """Withdraw one avoidance entry; True if one existed."""
         self._avoid_state_col[aid] = None
-        if self.avoid.pop(self._avoid_keys[aid], None) is not None:
+        if self.avoid.pop(self.keys.avoid_keys[aid], None) is not None:
             self._avoid_changes.add(aid)
-            self._dirty_pricing.add(self._avoid_dest[aid])
+            self._dirty_pricing.add(self.keys.avoid_dest[aid])
             return True
         return False
 
@@ -1119,7 +1140,7 @@ class ReplayKernel:
         """
         owner = self.owner
         if did is None:
-            did = self._intern_node(destination)
+            did = self._node_id(destination)
         state_col = self._route_state_col
         state = state_col[did]
         cur = self.routing.entry(destination)
@@ -1248,26 +1269,26 @@ class ReplayKernel:
         dids: Set[int] = set()
         for vector in self._route_offers.values():
             dids.update(vector)
-        node_ids = self._node_ids
+        space = self.keys
         for neighbor in self.neighbors:
-            dids.add(node_ids[neighbor])
+            dids.add(space.node_ids[neighbor])
         dids.discard(self._owner_id)
-        keys = self._node_keys
+        keys = space.nodes
         # lint: allow[unordered-iter] set-to-set id decode; iteration order cannot escape the built set
         destinations = {keys[did] for did in dids}
         # Entries whose destination left the universe, or keyed on a
         # node without a DATA1 entry, have no counterpart in a fresh
         # fixed point: withdraw them before relaxing (static runs never
         # produce such keys).
-        avoid_ids = self._avoid_ids
+        avoid_ids = space.avoid_ids
         stale = [
             avoid_ids[key]
             for key in self.avoid
             if key[0] not in destinations or key[1] not in all_nodes
         ]
-        rank = self._node_rank
-        dest_col = self._avoid_dest
-        avoided_col = self._avoid_avoided
+        rank = space.rank
+        dest_col = space.avoid_dest
+        avoided_col = space.avoid_avoided
         for aid in sorted(
             stale, key=lambda a: (rank[dest_col[a]], rank[avoided_col[a]])
         ):
@@ -1286,7 +1307,6 @@ class ReplayKernel:
                 if self._relax_avoid(destination, avoided):
                     changed = True
         self._avoid_rescan = set()
-        self._avoid_dest_pending = set()
         return changed
 
     def recompute_avoidance_incremental(self) -> bool:
@@ -1295,53 +1315,23 @@ class ReplayKernel:
         Improvements were already adopted during ingestion (the
         :attr:`_avoid_changed` flag); what remains is rescanning the
         keys whose reigning argmin was invalidated — worsened,
-        withdrawn, or whose destination (re)entered the universe.
+        withdrawn, or stored while their destination was outside the
+        universe it has since entered (see :meth:`_universe_add`).
         """
         self.computation_count += 1
         changed = self._avoid_changed
         self._avoid_changed = False
         rescan = self._avoid_rescan
-        pending = self._avoid_dest_pending
-        if pending:
-            self._avoid_dest_pending = set()
-            ref_col = self._ref_col
-            offered = self._avoid_keys_by_dest
-            node_ids = self._node_ids
-            neighbor_ids = {node_ids[n] for n in self.neighbors}
-            owner = self.owner
-            owner_id = self._owner_id
-            keys = self._node_keys
-            rank = self._node_rank
-            avoided_col = self._avoid_avoided
-            intern_avoid = self._intern_avoid
-            for did in sorted(pending, key=rank.__getitem__):
-                if not ref_col[did]:
-                    continue  # left the universe again; re-entry re-pends
-                if did in neighbor_ids:
-                    # The base case supplies a candidate for every
-                    # avoided id, so neighbour destinations sweep the
-                    # whole key row.
-                    dest = keys[did]
-                    for avoided in self.costs.as_dict():
-                        if avoided != owner and avoided != dest:
-                            rescan.add(intern_avoid((dest, avoided)))
-                    continue
-                # Non-neighbour destination: only keys that ever stored
-                # an offer can yield or invalidate anything; the rest
-                # are no-ops in the full rescan too.
-                for aid in offered.get(did, ()):
-                    vid = avoided_col[aid]
-                    if vid != owner_id and vid != did:
-                        rescan.add(aid)
         if rescan:
             self._avoid_rescan = set()
             ref_col = self._ref_col
             knows = self.costs.knows
             owner_id = self._owner_id
-            rank = self._node_rank
-            dest_col = self._avoid_dest
-            avoided_col = self._avoid_avoided
-            akeys = self._avoid_keys
+            space = self.keys
+            rank = space.rank
+            dest_col = space.avoid_dest
+            avoided_col = space.avoid_avoided
+            akeys = space.avoid_keys
             for aid in sorted(
                 rescan, key=lambda a: (rank[dest_col[a]], rank[avoided_col[a]])
             ):
@@ -1379,8 +1369,8 @@ class ReplayKernel:
         """
         owner = self.owner
         if aid is None:
-            aid = self._intern_avoid((destination, avoided))
-        key = self._avoid_keys[aid]
+            aid = self._avoid_id((destination, avoided))
+        key = self.keys.avoid_keys[aid]
         state_col = self._avoid_state_col
         state = state_col[aid]
         cur = self.avoid.get(key)
@@ -1427,7 +1417,7 @@ class ReplayKernel:
             if cur is not None:
                 del self.avoid[key]
                 self._avoid_changes.add(aid)
-                self._dirty_pricing.add(self._avoid_dest[aid])
+                self._dirty_pricing.add(self.keys.avoid_dest[aid])
                 return True
             return False
         if state is not None:
@@ -1450,7 +1440,7 @@ class ReplayKernel:
             entry = RouteEntry(cost=total, path=(owner,) + tuple(opath))
         self.avoid[key] = entry
         self._avoid_changes.add(aid)
-        self._dirty_pricing.add(self._avoid_dest[aid])
+        self._dirty_pricing.add(self.keys.avoid_dest[aid])
         return True
 
     # --- pricing derivation -------------------------------------------
@@ -1496,8 +1486,8 @@ class ReplayKernel:
             return False
         self._dirty_pricing = set()
         changed = False
-        keys = self._node_keys
-        rank = self._node_rank
+        keys = self.keys.nodes
+        rank = self.keys.rank
         for did in sorted(dirty, key=rank.__getitem__):
             destination = keys[did]
             if self.routing.entry(destination) is None:
@@ -1543,7 +1533,7 @@ class ReplayKernel:
     def _supplier_tag(self, destination: NodeId, avoided: NodeId) -> FrozenSet[NodeId]:
         """Argmin suppliers of one avoidance entry (union on ties)."""
         owner = self.owner
-        aid = self._avoid_ids.get((destination, avoided))
+        aid = self.keys.avoid_ids.get((destination, avoided))
         best = None  # (cost, hops, path)
         tag: List[NodeId] = []
         costs_get = self.costs.get
@@ -1555,7 +1545,7 @@ class ReplayKernel:
                 cand = (0.0, 1, (destination,))
             else:
                 if aid is None:
-                    # Never interned: no neighbour ever offered it.
+                    # Never interned: no kernel ever offered it.
                     continue
                 vec = offers_get(neighbor)
                 offer = vec.get(aid) if vec else None
@@ -1693,6 +1683,8 @@ class SharedKernel:
     initial_route: Tuple = field(init=False)
     initial_price: Tuple = field(init=False)
     stats: KernelStats = field(default_factory=KernelStats)
+    #: The run's key space (a private one when None).
+    keys: Optional[KeySpace] = None
 
     def __post_init__(self) -> None:
         """Replicate the principal's ``start_phase2`` exactly once."""
@@ -1702,7 +1694,9 @@ class SharedKernel:
 
     def _fresh_kernel(self) -> ReplayKernel:
         """A kernel in the state every mirror starts phase 2 from."""
-        kernel = ReplayKernel(self.owner, self.seed_neighbors, self.seed_cost)
+        kernel = ReplayKernel(
+            self.owner, self.seed_neighbors, self.seed_cost, keys=self.keys
+        )
         for node, cost in self.seed_known_costs.items():
             kernel.note_cost_declaration(node, cost)
         kernel.reset_phase2()
@@ -1811,9 +1805,12 @@ class MirrorKernelPool:
     One pool serves one simulated host (one process running the whole
     network); :meth:`new_epoch` must be called before every phase-2
     (re)start so restarted mirrors never attach to a consumed log.
+    Its kernels share ``keys``, the run's :class:`KeySpace` (a space of
+    the pool's own when None).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keys: Optional[KeySpace] = None) -> None:
+        self.keys = KeySpace() if keys is None else keys
         self._kernels: Dict[NodeId, SharedKernel] = {}
         self.epoch = 0
         #: Seed-mismatch refusals across all epochs (sharing declined).
@@ -1846,6 +1843,7 @@ class MirrorKernelPool:
                 seed_neighbors=tuple(sorted(neighbors, key=repr)),
                 seed_cost=float(declared_cost),
                 seed_known_costs=dict(known_costs),
+                keys=self.keys,
             )
             self._kernels[principal] = entry
             return entry
@@ -1874,10 +1872,11 @@ class MirrorKernelPool:
 # ----------------------------------------------------------------------
 
 
-
-
 def kernel_fixed_point(
-    graph, max_rounds: int = 100_000, kernel_cls: Optional[type] = None
+    graph,
+    max_rounds: int = 100_000,
+    kernel_cls: Optional[type] = None,
+    keys: Optional[KeySpace] = None,
 ) -> Dict[NodeId, "ReplayKernel"]:
     """Run the FPSS relaxation to its fixed point with no simulator.
 
@@ -1894,7 +1893,9 @@ def kernel_fixed_point(
     columnar/dict equivalence suite drives both
     :class:`ReplayKernel` and
     :class:`~repro.routing.kernel_dict.DictReplayKernel` through the
-    same rounds); the default is :class:`ReplayKernel`.
+    same rounds); the default is :class:`ReplayKernel`.  Columnar
+    kernels share ``keys`` — the caller's run-level space, or one built
+    from the graph's nodes.
 
     Raises
     ------
@@ -1904,8 +1905,11 @@ def kernel_fixed_point(
     """
     cls = ReplayKernel if kernel_cls is None else kernel_cls
     order = sorted(graph.nodes, key=repr)
+    extra = {}
+    if issubclass(cls, ReplayKernel):
+        extra["keys"] = KeySpace(order) if keys is None else keys
     kernels = {
-        node: cls(node, graph.neighbors(node), graph.cost(node))
+        node: cls(node, graph.neighbors(node), graph.cost(node), **extra)
         for node in order
     }
     for kernel in kernels.values():

@@ -19,11 +19,15 @@ inconsistencies in these tags that BANK2 catches.
 
 All tables support a :meth:`stable_digest` so the bank can compare a
 principal's table against its checkers' mirrors by hash, as the paper
-suggests ("a hash of the entire table is sufficient").
+suggests ("a hash of the entire table is sufficient").  DATA2 and DATA3*
+memoize that digest and drop it in every mutator, so the k checkers of
+one principal that read one shared table pay for one hash; nothing
+outside the class writes ``_entries``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -69,6 +73,8 @@ class TransitCostTable:
 
     def declare(self, node: NodeId, cost: Cost) -> bool:
         """Record a declaration; returns True if this changed the table."""
+        if not math.isfinite(cost):
+            raise RoutingError(f"non-finite declared cost for {node!r}: {cost}")
         if cost < 0:
             raise RoutingError(f"negative declared cost for {node!r}")
         if self._costs.get(node) == cost:
@@ -118,6 +124,7 @@ class RoutingTable:
     def __init__(self, owner: NodeId) -> None:
         self.owner = owner
         self._entries: Dict[NodeId, RouteEntry] = {}
+        self._digest: Optional[str] = None
 
     def entry(self, destination: NodeId) -> Optional[RouteEntry]:
         """The current entry for a destination, if any."""
@@ -131,6 +138,7 @@ class RoutingTable:
         if current == entry:
             return False
         self._entries[destination] = entry
+        self._digest = None
         return True
 
     def remove(self, destination: NodeId) -> bool:
@@ -140,7 +148,10 @@ class RoutingTable:
         only grow); topology events — failed links, departed nodes —
         are what make destinations genuinely unreachable.
         """
-        return self._entries.pop(destination, None) is not None
+        if self._entries.pop(destination, None) is None:
+            return False
+        self._digest = None
+        return True
 
     def cost(self, destination: NodeId) -> Cost:
         """Path cost to a destination (INFINITY if unknown)."""
@@ -164,8 +175,10 @@ class RoutingTable:
         return {d: (e.cost, e.path) for d, e in self._entries.items()}
 
     def stable_digest(self) -> str:
-        """Hash for BANK1 comparisons."""
-        return stable_hash(self.as_dict())
+        """Hash for BANK1 comparisons (memoized until the next change)."""
+        if self._digest is None:
+            self._digest = stable_hash(self.as_dict())
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -184,6 +197,7 @@ class PricingTable:
     def __init__(self, owner: NodeId) -> None:
         self.owner = owner
         self._entries: Dict[NodeId, Dict[NodeId, PricingEntry]] = {}
+        self._digest: Optional[str] = None
 
     def set_price(
         self,
@@ -198,11 +212,13 @@ class PricingTable:
         if row.get(transit) == entry:
             return False
         row[transit] = entry
+        self._digest = None
         return True
 
     def clear_destination(self, destination: NodeId) -> None:
         """Remove a whole row (used when the LCP changes)."""
-        self._entries.pop(destination, None)
+        if self._entries.pop(destination, None) is not None:
+            self._digest = None
 
     def price(self, destination: NodeId, transit: NodeId) -> Cost:
         """The price for one transit node (0 if absent, as off-path)."""
@@ -245,8 +261,10 @@ class PricingTable:
         }
 
     def stable_digest(self) -> str:
-        """Hash (prices *and* tags) for BANK2 comparisons."""
-        return stable_hash(self.as_dict())
+        """Hash (prices *and* tags) for BANK2 comparisons (memoized)."""
+        if self._digest is None:
+            self._digest = stable_hash(self.as_dict())
+        return self._digest
 
 
 class PaymentList:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import math
 from typing import Any, Dict, Mapping
 
 from ..errors import SignatureError
@@ -120,9 +121,11 @@ def stable_hash(value: Any) -> str:
         if (
             isinstance(v, (int, float))
             and not isinstance(v, bool)
+            and math.isfinite(v)
             and float(v) == int(v)
         ):
-            # Normalise 2.0 vs 2 so semantically equal tables hash equal.
+            # Normalise 2.0 vs 2 so semantically equal tables hash equal;
+            # NaN and infinities fall through to their repr atom.
             return ["num", repr(int(v))]
         return ["atom", repr(v)]
 

@@ -5,8 +5,12 @@ parallel arrays over interned key ids; the retained
 :class:`~repro.routing.kernel_dict.DictReplayKernel` is the verbatim
 pre-columnar implementation, kept as the oracle.  The layout change is
 only sound if the two are *observationally identical* — same digests,
-same wire deltas, same work counters — under every op sequence the
-protocol can produce.  This suite drives both through:
+same wire deltas — under every op sequence the protocol can produce.
+The work counters match too, except ``avoid_rescans``: the columnar
+kernel rescans at universe entry only the avoidance keys whose offers
+were frozen outside the universe (the dict kernel sweeps every key that
+ever held an offer), so its count may only be lower — pinned per seed.
+This suite drives both through:
 
 * whole-run fixed points (random, tie-heavy, and the paper's Figure 1
   graphs),
@@ -81,6 +85,10 @@ def _unit_cost_graph(size, seed):
 class TestFixedPointParity:
     """Whole-run parity: same graph, both kernels, identical tables."""
 
+    #: Total ``avoid_rescans`` of the columnar fixed point per seed (the
+    #: dict oracle's totals are 1298, 1290, 1238 and 1274).
+    AVOID_RESCANS = {0: 580, 1: 520, 2: 360, 3: 440}
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_graphs(self, seed):
         graph = random_biconnected_graph(12, random.Random(seed))
@@ -93,10 +101,12 @@ class TestFixedPointParity:
                 columnar[node].computation_count
                 == reference[node].computation_count
             ), node
-            assert (
-                columnar[node].stats.as_dict()
-                == reference[node].stats.as_dict()
-            ), node
+            counters = columnar[node].stats.as_dict()
+            oracle = reference[node].stats.as_dict()
+            assert counters.pop("avoid_rescans") <= oracle.pop("avoid_rescans"), node
+            assert counters == oracle, node
+        total = sum(kernel.stats.avoid_rescans for kernel in columnar.values())
+        assert total == self.AVOID_RESCANS[seed]
 
     def test_tie_heavy_unit_costs(self):
         graph = _unit_cost_graph(14, seed=6)

@@ -16,6 +16,14 @@ class TestConstruction:
         with pytest.raises(GraphError, match="negative"):
             ASGraph({"a": -1.0}, [])
 
+    def test_nan_cost_rejected(self):
+        with pytest.raises(GraphError, match="not finite"):
+            ASGraph({"a": float("nan"), "b": 1.0}, [("a", "b")])
+
+    def test_infinite_cost_rejected(self):
+        with pytest.raises(GraphError, match="not finite"):
+            ASGraph({"a": 1.0, "b": float("inf")}, [("a", "b")])
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             ASGraph({"a": 1.0}, [("a", "a")])

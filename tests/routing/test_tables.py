@@ -24,6 +24,19 @@ class TestTransitCostTable:
         with pytest.raises(RoutingError, match="negative"):
             TransitCostTable().declare("a", -1.0)
 
+    def test_nan_cost_rejected(self):
+        table = TransitCostTable()
+        with pytest.raises(RoutingError, match="non-finite"):
+            table.declare("a", float("nan"))
+        assert not table.knows("a")
+        table.stable_digest()  # the table stays hashable
+
+    def test_infinite_cost_rejected(self):
+        table = TransitCostTable()
+        with pytest.raises(RoutingError, match="non-finite"):
+            table.declare("a", float("inf"))
+        assert not table.knows("a")
+
     def test_lookup(self):
         table = TransitCostTable()
         table.declare("a", 2.0)

@@ -86,3 +86,14 @@ class TestStableHash:
 
     def test_sequence_order_matters(self):
         assert stable_hash([1, 2]) != stable_hash([2, 1])
+
+    def test_nan_hashes_as_an_atom(self):
+        digest = stable_hash({"a": float("nan")})
+        assert digest == stable_hash({"a": float("nan")})
+        assert digest != stable_hash({"a": 0.0})
+
+    def test_infinities_hash_as_atoms(self):
+        assert stable_hash([float("inf")]) != stable_hash([float("-inf")])
+        assert stable_hash({"a": float("inf"), "b": 2.0}) == stable_hash(
+            {"b": 2, "a": float("inf")}
+        )
