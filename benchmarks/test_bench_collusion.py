@@ -18,7 +18,7 @@ from repro.analysis import render_table
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     FaithfulFPSSProtocol,
-    faithful_deviant_factory,
+    run_deviation,
 )
 from repro.faithful.collusion import coalition_factory
 
@@ -28,10 +28,8 @@ SPEC = DEVIATION_CATALOGUE["false-route-announce"]
 
 def run_scenarios(graph, traffic):
     checkers = graph.neighbors(PRINCIPAL)
-    baseline = FaithfulFPSSProtocol(graph, traffic).run()
-    unilateral = FaithfulFPSSProtocol(
-        graph, traffic, node_factory=faithful_deviant_factory(SPEC, PRINCIPAL)
-    ).run()
+    baseline = run_deviation(graph, traffic)
+    unilateral = run_deviation(graph, traffic, node=PRINCIPAL, spec=SPEC)
     partial = FaithfulFPSSProtocol(
         graph,
         traffic,

@@ -12,11 +12,8 @@ import random
 
 import pytest
 
-from repro.analysis import (
-    faithful_deviation_table,
-    plain_deviation_table,
-    render_table,
-)
+from repro.analysis import render_table
+from repro.experiments import deviation_table
 from repro.faithful import DEVIATION_CATALOGUE
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
@@ -26,12 +23,10 @@ PLAIN_CAPABLE = tuple(
 
 
 def run_sweep(fig1, fig1_traffic):
-    plain = plain_deviation_table(
-        fig1, fig1_traffic, deviations=PLAIN_CAPABLE
+    plain = deviation_table(
+        fig1, fig1_traffic, faithful=False, deviations=PLAIN_CAPABLE
     )
-    faithful = faithful_deviation_table(
-        fig1, fig1_traffic, deviations=PLAIN_CAPABLE
-    )
+    faithful = deviation_table(fig1, fig1_traffic, deviations=PLAIN_CAPABLE)
     return plain, faithful
 
 
@@ -76,11 +71,11 @@ def test_bench_faithfulness_sweep_random_graphs(benchmark):
             graph = random_biconnected_graph(5, rng)
             traffic = uniform_all_pairs(graph)
             deviator = graph.nodes[seed % len(graph.nodes)]
-            plain = plain_deviation_table(
-                graph, traffic, nodes=[deviator],
+            plain = deviation_table(
+                graph, traffic, faithful=False, nodes=[deviator],
                 deviations=("payment-underreport", "packet-drop"),
             )
-            faithful = faithful_deviation_table(
+            faithful = deviation_table(
                 graph, traffic, nodes=[deviator],
                 deviations=("payment-underreport", "packet-drop"),
             )

@@ -12,12 +12,13 @@ the faithful specification.  Expected shape:
 
 import pytest
 
-from repro.analysis import faithful_deviation_table, render_table
+from repro.analysis import render_table
+from repro.experiments import deviation_table
 from repro.faithful import DEVIATION_CATALOGUE, FaithfulFPSSProtocol
 
 
 def run_detection_matrix(graph, traffic):
-    return faithful_deviation_table(graph, traffic)
+    return deviation_table(graph, traffic)
 
 
 @pytest.mark.slow

@@ -12,7 +12,8 @@ be correctly rejected.
 
 import itertools
 
-from repro.analysis import render_table, routing_distributed_mechanism
+from repro.analysis import render_table
+from repro.experiments import routing_distributed_mechanism
 from repro.mechanism import (
     DistributedMechanism,
     DistributedStrategy,

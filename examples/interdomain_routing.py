@@ -18,13 +18,7 @@ Run:  python examples/interdomain_routing.py
 """
 
 from repro.analysis import render_table
-from repro.faithful import (
-    DEVIATION_CATALOGUE,
-    FaithfulFPSSProtocol,
-    PlainFPSSProtocol,
-    faithful_deviant_factory,
-    plain_deviant_factory,
-)
+from repro.faithful import DEVIATION_CATALOGUE, run_deviation
 from repro.routing import (
     figure1_graph,
     lowest_cost_path,
@@ -66,8 +60,8 @@ def example1(graph, traffic) -> None:
 
 def protocol_manipulations(graph, traffic) -> None:
     print("=== Protocol manipulations: plain FPSS vs faithful extension ===")
-    plain_base = PlainFPSSProtocol(graph, traffic).run()
-    faithful_base = FaithfulFPSSProtocol(graph, traffic).run()
+    plain_base = run_deviation(graph, traffic, faithful=False)
+    faithful_base = run_deviation(graph, traffic)
 
     rows = []
     for name in (
@@ -77,14 +71,8 @@ def protocol_manipulations(graph, traffic) -> None:
         "packet-drop",
     ):
         spec = DEVIATION_CATALOGUE[name]
-        plain = PlainFPSSProtocol(
-            graph, traffic, node_factory=plain_deviant_factory(spec, TARGET)
-        ).run()
-        faithful = FaithfulFPSSProtocol(
-            graph,
-            traffic,
-            node_factory=faithful_deviant_factory(spec, TARGET),
-        ).run()
+        plain = run_deviation(graph, traffic, False, TARGET, spec)
+        faithful = run_deviation(graph, traffic, True, TARGET, spec)
         rows.append(
             [
                 name,

@@ -16,11 +16,7 @@ Run:  python examples/manipulation_forensics.py
 from collections import Counter
 
 from repro.analysis import render_table
-from repro.faithful import (
-    DEVIATION_CATALOGUE,
-    FaithfulFPSSProtocol,
-    faithful_deviant_factory,
-)
+from repro.faithful import DEVIATION_CATALOGUE, run_deviation
 from repro.routing import figure1_graph
 from repro.workloads import uniform_all_pairs
 
@@ -38,7 +34,7 @@ SCENARIOS = (
 def main() -> None:
     graph = figure1_graph()
     traffic = uniform_all_pairs(graph)
-    baseline = FaithfulFPSSProtocol(graph, traffic).run()
+    baseline = run_deviation(graph, traffic)
     print(
         f"baseline: certified={baseline.progressed}, "
         f"flags={len(baseline.detection.all_flags)}\n"
@@ -47,11 +43,7 @@ def main() -> None:
     summary_rows = []
     for name, target, description in SCENARIOS:
         spec = DEVIATION_CATALOGUE[name]
-        result = FaithfulFPSSProtocol(
-            graph,
-            traffic,
-            node_factory=faithful_deviant_factory(spec, target),
-        ).run()
+        result = run_deviation(graph, traffic, node=target, spec=spec)
 
         print(f"--- {name} by {target}: {description} ---")
         for decision in result.detection.checkpoint_decisions:

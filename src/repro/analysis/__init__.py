@@ -1,24 +1,5 @@
-"""Experiment runners and report rendering."""
+"""Report rendering and the determinism lint (:mod:`repro.analysis.lint`)."""
 
-from .experiments import (
-    SweepPoint,
-    faithful_deviation_table,
-    make_faithful_runner,
-    make_plain_runner,
-    plain_deviation_table,
-    routing_distributed_mechanism,
-    seeded,
-)
-from .report import render_markdown_table, render_table
+from .report import render_table
 
-__all__ = [
-    "SweepPoint",
-    "faithful_deviation_table",
-    "make_faithful_runner",
-    "make_plain_runner",
-    "plain_deviation_table",
-    "render_markdown_table",
-    "render_table",
-    "routing_distributed_mechanism",
-    "seeded",
-]
+__all__ = ["render_table"]

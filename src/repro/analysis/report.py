@@ -1,4 +1,4 @@
-"""Plain-text and markdown table rendering for experiment output.
+"""Plain-text table rendering for experiment output.
 
 The benchmark harness prints the same rows the paper's conceptual
 artifacts define (Figure 1 paths, Example 1 utilities, detection
@@ -45,20 +45,3 @@ def render_table(
     lines.extend(fmt(row) for row in str_rows)
     return "\n".join(lines)
 
-
-def render_markdown_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    float_digits: int = 3,
-) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        cells = [_stringify(cell, float_digits) for cell in row]
-        if len(cells) != len(headers):
-            raise ValueError("row arity does not match headers")
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)

@@ -61,13 +61,7 @@ from .experiments import (
     validate_group_by,
     write_artifacts,
 )
-from .faithful import (
-    DEVIATION_CATALOGUE,
-    FaithfulFPSSProtocol,
-    PlainFPSSProtocol,
-    faithful_deviant_factory,
-    plain_deviant_factory,
-)
+from .faithful import DEVIATION_CATALOGUE, run_deviation
 from .obs import (
     FeedFollower,
     SweepFeed,
@@ -153,10 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Run the faithful (or plain) mechanism and print the economics."""
     graph = resolve_graph(args.graph)
     traffic = uniform_all_pairs(graph, volume=args.volume)
-    if args.plain:
-        result = PlainFPSSProtocol(graph, traffic).run()
-    else:
-        result = FaithfulFPSSProtocol(graph, traffic).run()
+    result = run_deviation(graph, traffic, faithful=not args.plain)
     print(f"protocol:   {'plain' if args.plain else 'faithful'} FPSS")
     print(f"certified:  {result.progressed}")
     print(f"restarts:   {result.detection.restarts}")
@@ -194,36 +185,21 @@ def cmd_deviate(args: argparse.Namespace) -> int:
     spec = DEVIATION_CATALOGUE[args.deviation]
     traffic = uniform_all_pairs(graph, volume=args.volume)
 
-    faithful_base = FaithfulFPSSProtocol(graph, traffic).run()
-    faithful = FaithfulFPSSProtocol(
-        graph,
-        traffic,
-        node_factory=faithful_deviant_factory(spec, args.node),
-    ).run()
-    rows = [
-        [
-            "faithful",
-            faithful.utilities[args.node]
-            - faithful_base.utilities[args.node],
-            "yes" if faithful.detection.detected_any else "no",
-            faithful.detection.restarts,
-        ]
-    ]
-    if spec.plain_capable:
-        plain_base = PlainFPSSProtocol(graph, traffic).run()
-        plain = PlainFPSSProtocol(
-            graph,
-            traffic,
-            node_factory=plain_deviant_factory(spec, args.node),
-        ).run()
-        rows.insert(
-            0,
+    rows = []
+    for faithful in (False, True) if spec.plain_capable else (True,):
+        base = run_deviation(graph, traffic, faithful)
+        deviated = run_deviation(graph, traffic, faithful, args.node, spec)
+        if faithful:
+            detected = "yes" if deviated.detection.detected_any else "no"
+        else:
+            detected = "n/a (no detector)"
+        rows.append(
             [
-                "plain",
-                plain.utilities[args.node] - plain_base.utilities[args.node],
-                "n/a (no detector)",
-                0,
-            ],
+                "faithful" if faithful else "plain",
+                deviated.utilities[args.node] - base.utilities[args.node],
+                detected,
+                deviated.detection.restarts,
+            ]
         )
     print(
         render_table(

@@ -50,6 +50,11 @@ from .artifacts import (
     load_artifact_results,
     merge_artifacts,
 )
+from .deviations import (
+    deviation_table,
+    make_runner,
+    routing_distributed_mechanism,
+)
 from .runner import (
     ScenarioResult,
     SweepRunner,
@@ -85,10 +90,13 @@ __all__ = [
     "TRAFFIC_MODELS",
     "canonical_results",
     "default_sweep",
+    "deviation_table",
     "expand_grid",
     "load_artifact_results",
+    "make_runner",
     "merge_artifacts",
     "parse_sweep",
+    "routing_distributed_mechanism",
     "run_scenario",
     "run_scenario_traced",
     "run_sweep",

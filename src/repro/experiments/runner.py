@@ -36,19 +36,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.experiments import routing_distributed_mechanism
 from ..errors import ExperimentError, ReproError
-from ..faithful import (
-    DEVIATION_CATALOGUE,
-    FaithfulFPSSProtocol,
-    faithful_deviant_factory,
-)
+from ..faithful import DEVIATION_CATALOGUE, run_deviation
 from ..mechanism.faithfulness import proposition1_verdict
 from ..mechanism.types import TypeProfile
 from ..obs.events import BUS
 from ..obs.trace import NOOP_SPAN, aggregate_counters, span
 from ..routing.convergence import measure_convergence
 from ..routing.vcg_payments import economics_under_traffic
+from .deviations import routing_distributed_mechanism
 from .spec import ScenarioSpec, SweepSpec
 
 #: Cheap default catalogue subset for the faithfulness probe.
@@ -221,12 +217,8 @@ def _detection_probe(
     deviation = DEVIATION_CATALOGUE[spec.deviation]
     nodes = sorted(graph.nodes, key=repr)
     deviant = nodes[spec.deviant_index % len(nodes)]
-    baseline = FaithfulFPSSProtocol(graph, traffic).run()
-    deviated = FaithfulFPSSProtocol(
-        graph,
-        traffic,
-        node_factory=faithful_deviant_factory(deviation, deviant),
-    ).run()
+    baseline = run_deviation(graph, traffic)
+    deviated = run_deviation(graph, traffic, node=deviant, spec=deviation)
     gain = deviated.utilities[deviant] - baseline.utilities[deviant]
     return {
         "detected": float(deviated.detection.detected_any),

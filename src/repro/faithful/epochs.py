@@ -177,7 +177,6 @@ def run_checked_churn(
     graph.require_biconnected()
     simulator = Simulator(
         topology_from_graph(graph, delay=link_delays),
-        trace_enabled=False,
         batch_delivery=batch_delivery,
     )
     factory = node_factory or (

@@ -30,15 +30,21 @@ strong-CC/strong-AC verifiers need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Mapping, Tuple, Type
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple, Type
 
 from ..errors import MechanismError
 from ..routing.fpss import FPSSNode
-from ..routing.graph import Cost
+from ..routing.graph import ASGraph, Cost
 from ..sim.crypto import SigningAuthority
 from ..sim.messages import NodeId
 from ..specs.actions import ActionClass
 from .node import FaithfulRoutingNode
+from .protocol import (
+    FaithfulFPSSProtocol,
+    PlainFPSSProtocol,
+    RunResult,
+    TrafficMatrix,
+)
 
 
 class DeviationMixin:
@@ -423,6 +429,30 @@ def plain_deviant_factory(spec: DeviationSpec, target: NodeId):
         return FPSSNode(node_id, cost)
 
     return factory
+
+
+def run_deviation(
+    graph: ASGraph,
+    traffic: TrafficMatrix,
+    faithful: bool = True,
+    node: Optional[NodeId] = None,
+    spec: Optional[DeviationSpec] = None,
+) -> RunResult:
+    """One faithful (or plain) protocol run with ``spec`` on ``node``.
+
+    With neither ``node`` nor ``spec`` every node is obedient: the
+    baseline a deviation's gain is measured against.
+    """
+    if (node is None) != (spec is None):
+        raise MechanismError("a deviation needs both a node and a spec")
+    if spec is None:
+        factory = None
+    elif faithful:
+        factory = faithful_deviant_factory(spec, node)
+    else:
+        factory = plain_deviant_factory(spec, node)
+    protocol = FaithfulFPSSProtocol if faithful else PlainFPSSProtocol
+    return protocol(graph, traffic, node_factory=factory).run()
 
 
 def construction_deviations() -> Tuple[DeviationSpec, ...]:

@@ -108,7 +108,6 @@ class FaithfulFPSSProtocol:
         max_restarts: int = 2,
         epsilon: float = 0.01,
         no_progress_utility: float = -1000.0,
-        trace_enabled: bool = False,
         max_events: int = 2_000_000,
         link_delays=1.0,
         bank_honors_flags: bool = True,
@@ -126,7 +125,6 @@ class FaithfulFPSSProtocol:
         self.max_restarts = max_restarts
         self.epsilon = epsilon
         self.no_progress_utility = no_progress_utility
-        self.trace_enabled = trace_enabled
         self.max_events = max_events
         #: Constant, mapping, or callable per-link delay (asynchrony).
         self.link_delays = link_delays
@@ -155,8 +153,7 @@ class FaithfulFPSSProtocol:
     def _build(self) -> Tuple[Simulator, Dict[NodeId, FaithfulRoutingNode], BankNode]:
         signing = SigningAuthority()
         simulator = Simulator(
-            topology_from_graph(self.graph, delay=self.link_delays),
-            trace_enabled=self.trace_enabled,
+            topology_from_graph(self.graph, delay=self.link_delays)
         )
         nodes: Dict[NodeId, FaithfulRoutingNode] = {}
         for node_id in self.graph.nodes:
@@ -366,7 +363,6 @@ class PlainFPSSProtocol:
         graph: ASGraph,
         traffic: TrafficMatrix,
         node_factory: Optional[PlainNodeFactory] = None,
-        trace_enabled: bool = False,
         max_events: int = 2_000_000,
         link_delays=1.0,
     ) -> None:
@@ -376,15 +372,13 @@ class PlainFPSSProtocol:
         self.node_factory = node_factory or (
             lambda node_id, cost: FPSSNode(node_id, cost)
         )
-        self.trace_enabled = trace_enabled
         self.max_events = max_events
         self.link_delays = link_delays
 
     def run(self) -> RunResult:
         """Construction to quiescence, traffic, trusting settlement."""
         simulator = Simulator(
-            topology_from_graph(self.graph, delay=self.link_delays),
-            trace_enabled=self.trace_enabled,
+            topology_from_graph(self.graph, delay=self.link_delays)
         )
         nodes: Dict[NodeId, FPSSNode] = {}
         for node_id in self.graph.nodes:
@@ -496,7 +490,6 @@ def run_checked_construction(
     graph.require_biconnected()
     simulator = Simulator(
         topology_from_graph(graph, delay=link_delays),
-        trace_enabled=False,
         batch_delivery=batch_delivery,
     )
     factory = node_factory or (

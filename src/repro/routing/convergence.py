@@ -55,7 +55,6 @@ def topology_from_graph(graph: ASGraph, delay=1.0) -> NetworkTopology:
 def build_plain_network(
     graph: ASGraph,
     node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
-    trace_enabled: bool = False,
     link_delays=1.0,
     batch_delivery: bool = True,
 ) -> Tuple[Simulator, Dict[NodeId, FPSSNode]]:
@@ -72,7 +71,6 @@ def build_plain_network(
     factory = node_factory or (lambda node_id, cost: FPSSNode(node_id, cost))
     simulator = Simulator(
         topology_from_graph(graph, delay=link_delays),
-        trace_enabled=trace_enabled,
         batch_delivery=batch_delivery,
     )
     nodes: Dict[NodeId, FPSSNode] = {}
@@ -128,7 +126,6 @@ def run_construction_phases(
 def run_plain_fpss(
     graph: ASGraph,
     node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
-    trace_enabled: bool = False,
     link_delays=1.0,
     max_events: int = 2_000_000,
     batch_delivery: bool = True,
@@ -142,8 +139,6 @@ def run_plain_fpss(
     node_factory:
         Optional ``(node_id, cost) -> FPSSNode`` substitution hook for
         manipulation subclasses; obedient :class:`FPSSNode` otherwise.
-    trace_enabled:
-        Record a full simulator trace (off by default — large runs).
     link_delays:
         Constant, ``frozenset({a, b}) -> delay`` mapping, or callable
         ``delay(a, b)`` giving per-link delays; heterogeneous values
@@ -163,7 +158,6 @@ def run_plain_fpss(
     simulator, nodes = build_plain_network(
         graph,
         node_factory=node_factory,
-        trace_enabled=trace_enabled,
         link_delays=link_delays,
         batch_delivery=batch_delivery,
     )

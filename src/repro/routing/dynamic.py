@@ -165,7 +165,6 @@ class DynamicTopologyEngine:
         node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
         link_delays=1.0,
         batch_delivery: bool = True,
-        trace_enabled: bool = False,
         verify: bool = True,
         max_events: int = 2_000_000,
     ) -> None:
@@ -179,7 +178,6 @@ class DynamicTopologyEngine:
         self.simulator, self.nodes = build_plain_network(
             graph,
             node_factory=node_factory,
-            trace_enabled=trace_enabled,
             link_delays=link_delays,
             batch_delivery=batch_delivery,
         )

@@ -143,7 +143,7 @@ class ProtocolNode:
 
         Invoked by the simulator in batched-delivery mode with the
         batch in send order.  Each message replays the per-message path
-        (metrics, trace, inbound filter, dispatch, in that order per
+        (metrics, inbound filter, dispatch, in that order per
         message) with :attr:`_in_batch` set, so plain nodes behave
         identically in both modes; the :meth:`flush_batch` hook then
         runs exactly once at the batch boundary.  Protocol nodes that

@@ -1,8 +1,8 @@
 """The discrete-event simulator.
 
 Couples a :class:`~repro.sim.network.NetworkTopology`, a set of
-:class:`~repro.sim.node.ProtocolNode` processes, an event queue, a
-trace, and a metrics registry.  ``run_until_quiescent`` drives the
+:class:`~repro.sim.node.ProtocolNode` processes, an event queue, and a
+metrics registry.  ``run_until_quiescent`` drives the
 system to a fixed point — the "network quiescence point" at which the
 paper's bank performs its BANK1/BANK2 checks.
 
@@ -27,13 +27,12 @@ from typing import Dict, Iterable, Optional
 
 from ..errors import ConvergenceError, SimulationError
 from ..obs.events import BUS
-from ..obs.trace import emit_counters, span
+from ..obs.trace import emit_counters, emit_marker, span
 from .events import DeliveryInbox, EventQueue
 from .messages import Message, NodeId
 from .metrics import MetricsRegistry
 from .network import NetworkTopology
 from .node import ProtocolNode
-from .trace import Trace, TraceKind
 
 
 class Simulator:
@@ -46,8 +45,6 @@ class Simulator:
         except for nodes registered as *well-known* (the bank), which
         every node can reach directly — modelling the paper's signed
         out-of-band bank channel.
-    trace_enabled:
-        Record a full event trace (disable for large sweeps).
     batch_delivery:
         Coalesce same-instant deliveries to one node into one event
         (the default).  ``False`` restores per-message delivery events.
@@ -56,12 +53,10 @@ class Simulator:
     def __init__(
         self,
         topology: NetworkTopology,
-        trace_enabled: bool = True,
         batch_delivery: bool = True,
     ) -> None:
         self.topology = topology
         self.queue = EventQueue()
-        self.trace = Trace(enabled=trace_enabled)
         self.metrics = MetricsRegistry()
         self.batch_delivery = batch_delivery
         self._inbox = DeliveryInbox()
@@ -139,7 +134,6 @@ class Simulator:
         self.metrics.record_send(
             message.src, payload_units=message.size, kind=message.kind
         )
-        self.trace.record(self._now, TraceKind.SEND, message.src, message)
         delay = self._link_delay(message.src, message.dst)
         arrival = self._now + delay
         if self.batch_delivery:
@@ -160,7 +154,6 @@ class Simulator:
 
     def _deliver(self, message: Message) -> None:
         self.metrics.record_receive(message.dst)
-        self.trace.record(self._now, TraceKind.DELIVER, message.dst, message)
         self._nodes[message.dst].deliver(message)
 
     def _deliver_batch(self, time: float, dst: NodeId) -> None:
@@ -171,14 +164,17 @@ class Simulator:
         """Account for and process one message of a delivery batch.
 
         Called back by :meth:`ProtocolNode.deliver_batch` loops so that
-        per-message metrics and trace entries interleave with handler
+        per-message metrics interleave with handler
         effects exactly as they do in unbatched mode.
         """
         self._deliver(message)
 
     def note_drop(self, node_id: NodeId, message: Message, reason: str) -> None:
-        """Record that a filter suppressed a message."""
-        self.trace.record(self._now, TraceKind.DROP, node_id, message, reason=reason)
+        """Emit a ``sim.drop`` marker: a filter suppressed a message."""
+        emit_marker(
+            "sim.drop", sim_time=self._now, node=node_id, kind=message.kind,
+            reason=reason,
+        )
 
     def schedule_local(
         self, node_id: NodeId, delay: float, callback, label: str = ""

@@ -20,7 +20,6 @@ from .phases import (
     PhasedExecution,
     PhasedExecutionResult,
     PhaseRecord,
-    PhaseStatus,
 )
 from .specification import Specification, enumerate_deviations
 from .statemachine import Behavior, State, StateMachine, Transition
@@ -41,7 +40,6 @@ __all__ = [
     "EXTERNAL_ACTION_CLASSES",
     "Phase",
     "PhaseRecord",
-    "PhaseStatus",
     "PhasedExecution",
     "PhasedExecutionResult",
     "Specification",

@@ -23,16 +23,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import PhaseError
 
 
-class PhaseStatus(enum.Enum):
-    """Lifecycle of a phase within one mechanism run."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    CERTIFIED = "certified"
-    RESTARTED = "restarted"
-    FAILED = "failed"
-
-
 class CertificationResult(enum.Enum):
     """Outcome of the checkpoint examination of a finished phase."""
 

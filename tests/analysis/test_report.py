@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import render_markdown_table, render_table
+from repro.analysis import render_table
 
 
 class TestRenderTable:
@@ -28,15 +28,3 @@ class TestRenderTable:
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
 
-
-class TestMarkdownTable:
-    def test_structure(self):
-        text = render_markdown_table(["x", "y"], [[1, 2.0]])
-        lines = text.splitlines()
-        assert lines[0] == "| x | y |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2.000 |"
-
-    def test_row_arity_checked(self):
-        with pytest.raises(ValueError):
-            render_markdown_table(["a"], [[1, 2]])

@@ -1,17 +1,15 @@
-"""Tests for the experiment runners (protocol <-> analysis glue)."""
+"""Tests for the deviation experiments (protocol <-> analysis glue)."""
 
 import random
 
 import pytest
 
-from repro.analysis import (
-    faithful_deviation_table,
-    make_faithful_runner,
-    make_plain_runner,
-    plain_deviation_table,
+from repro.errors import MechanismError
+from repro.experiments import (
+    deviation_table,
+    make_runner,
     routing_distributed_mechanism,
 )
-from repro.errors import MechanismError
 from repro.mechanism import TypeProfile, check_ic, check_strong_ac, check_strong_cc
 from repro.workloads import ring_graph, uniform_all_pairs
 
@@ -25,20 +23,20 @@ def setup():
 class TestRunners:
     def test_faithful_runner_baseline(self, setup):
         graph, traffic = setup
-        runner = make_faithful_runner(graph, traffic)
+        runner = make_runner(graph, traffic)
         utilities, detected = runner(None, None)
         assert set(utilities) == set(graph.nodes)
         assert not detected
 
     def test_faithful_runner_detects(self, setup):
         graph, traffic = setup
-        runner = make_faithful_runner(graph, traffic)
+        runner = make_runner(graph, traffic)
         _, detected = runner(graph.nodes[0], "payment-underreport")
         assert detected
 
     def test_plain_runner_never_detects(self, setup):
         graph, traffic = setup
-        runner = make_plain_runner(graph, traffic)
+        runner = make_runner(graph, traffic, faithful=False)
         _, detected = runner(graph.nodes[0], "payment-underreport")
         assert not detected
 
@@ -46,7 +44,7 @@ class TestRunners:
 class TestDeviationTables:
     def test_faithful_table_is_faithful(self, setup):
         graph, traffic = setup
-        table = faithful_deviation_table(
+        table = deviation_table(
             graph,
             traffic,
             nodes=[graph.nodes[0]],
@@ -57,9 +55,10 @@ class TestDeviationTables:
 
     def test_plain_table_shows_gains(self, setup):
         graph, traffic = setup
-        table = plain_deviation_table(
+        table = deviation_table(
             graph,
             traffic,
+            faithful=False,
             nodes=[graph.nodes[0]],
             deviations=("payment-underreport",),
         )

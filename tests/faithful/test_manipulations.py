@@ -12,12 +12,9 @@ import pytest
 from repro.errors import MechanismError
 from repro.faithful import (
     DEVIATION_CATALOGUE,
-    FaithfulFPSSProtocol,
-    PlainFPSSProtocol,
     construction_deviations,
     execution_deviations,
-    faithful_deviant_factory,
-    plain_deviant_factory,
+    run_deviation,
 )
 from repro.routing import figure1_graph
 from repro.workloads import uniform_all_pairs
@@ -29,24 +26,20 @@ TARGET = "C"  # the paper's Example 1 manipulator
 
 @pytest.fixture(scope="module")
 def faithful_baseline():
-    return FaithfulFPSSProtocol(GRAPH, TRAFFIC).run()
+    return run_deviation(GRAPH, TRAFFIC)
 
 
 @pytest.fixture(scope="module")
 def plain_baseline():
-    return PlainFPSSProtocol(GRAPH, TRAFFIC).run()
+    return run_deviation(GRAPH, TRAFFIC, faithful=False)
 
 
 def run_faithful(spec, target=TARGET):
-    return FaithfulFPSSProtocol(
-        GRAPH, TRAFFIC, node_factory=faithful_deviant_factory(spec, target)
-    ).run()
+    return run_deviation(GRAPH, TRAFFIC, True, target, spec)
 
 
 def run_plain(spec, target=TARGET):
-    return PlainFPSSProtocol(
-        GRAPH, TRAFFIC, node_factory=plain_deviant_factory(spec, target)
-    ).run()
+    return run_deviation(GRAPH, TRAFFIC, False, target, spec)
 
 
 class TestCatalogueStructure:
@@ -69,9 +62,17 @@ class TestCatalogueStructure:
         assert spec.params["declared"] == 9.0
         assert DEVIATION_CATALOGUE["cost-lie"].params.get("declared") is None
 
-    def test_plain_factory_rejects_faithful_only(self):
+    def test_plain_run_rejects_faithful_only(self):
         with pytest.raises(MechanismError, match="no counterpart"):
-            plain_deviant_factory(DEVIATION_CATALOGUE["copy-drop"], TARGET)
+            run_plain(DEVIATION_CATALOGUE["copy-drop"])
+
+    @pytest.mark.parametrize("node, spec", [("C", None), (None, "cost-lie")])
+    def test_run_needs_node_and_spec_together(self, node, spec):
+        with pytest.raises(MechanismError, match="both a node and a spec"):
+            run_deviation(
+                GRAPH, TRAFFIC, node=node,
+                spec=DEVIATION_CATALOGUE[spec] if spec else None,
+            )
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ deters the rational, not the vindictive.
 
 import pytest
 
-from repro.analysis import faithful_deviation_table
+from repro.experiments import deviation_table
 from repro.routing import figure1_graph
 from repro.workloads import uniform_all_pairs
 
@@ -23,7 +23,7 @@ TRAFFIC = uniform_all_pairs(GRAPH)
 
 @pytest.fixture(scope="module")
 def table():
-    return faithful_deviation_table(
+    return deviation_table(
         GRAPH,
         TRAFFIC,
         nodes=("C",),

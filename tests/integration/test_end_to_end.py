@@ -10,6 +10,7 @@ from repro.faithful import (
     PlainFPSSProtocol,
     FlagKind,
     faithful_deviant_factory,
+    run_deviation,
 )
 from repro.routing import figure1_graph, lowest_cost_path
 from repro.workloads import (
@@ -78,11 +79,9 @@ class TestFlagForensics:
     def run_with(self, name, target="C"):
         graph = figure1_graph()
         spec = DEVIATION_CATALOGUE[name]
-        return FaithfulFPSSProtocol(
-            graph,
-            uniform_all_pairs(graph),
-            node_factory=faithful_deviant_factory(spec, target),
-        ).run()
+        return run_deviation(
+            graph, uniform_all_pairs(graph), node=target, spec=spec
+        )
 
     def test_false_announce_yields_broadcast_mismatch(self):
         result = self.run_with("false-route-announce")
@@ -131,11 +130,7 @@ class TestLargerTopology:
         graph = wheel_graph(6, random.Random(4))
         traffic = uniform_all_pairs(graph)
         spec = DEVIATION_CATALOGUE["false-route-announce"]
-        result = FaithfulFPSSProtocol(
-            graph,
-            traffic,
-            node_factory=faithful_deviant_factory(spec, "n01"),
-        ).run()
+        result = run_deviation(graph, traffic, node="n01", spec=spec)
         assert result.detection.detected_any
 
     def test_wheel_hub_shading_is_a_noop(self):
@@ -144,11 +139,7 @@ class TestLargerTopology:
         graph = wheel_graph(6, random.Random(4))
         traffic = uniform_all_pairs(graph)
         spec = DEVIATION_CATALOGUE["false-route-announce"]
-        result = FaithfulFPSSProtocol(
-            graph,
-            traffic,
-            node_factory=faithful_deviant_factory(spec, "n00"),
-        ).run()
+        result = run_deviation(graph, traffic, node="n00", spec=spec)
         assert result.progressed
         assert not result.detection.detected_any
 
@@ -167,9 +158,7 @@ class TestLargerTopology:
 class TestPacketPathIntegrity:
     def test_flows_traverse_the_lcp(self, fig1):
         """Trace-level check: X->Z packets visit exactly X-D-C-Z."""
-        protocol = FaithfulFPSSProtocol(
-            fig1, {("X", "Z"): 1.0}, trace_enabled=True
-        )
+        protocol = FaithfulFPSSProtocol(fig1, {("X", "Z"): 1.0})
         result = protocol.run()
         assert result.progressed
         oracle = lowest_cost_path(fig1, "X", "Z")

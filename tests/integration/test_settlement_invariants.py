@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.faithful import (
     DEVIATION_CATALOGUE,
-    FaithfulFPSSProtocol,
-    faithful_deviant_factory,
+    run_deviation,
 )
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
@@ -42,13 +41,12 @@ class TestSettlementInvariants:
         rng = random.Random(seed)
         graph = random_biconnected_graph(rng.randint(4, 6), rng)
         deviator = rng.choice(list(graph.nodes))
-        result = FaithfulFPSSProtocol(
+        result = run_deviation(
             graph,
             uniform_all_pairs(graph),
-            node_factory=faithful_deviant_factory(
-                DEVIATION_CATALOGUE[deviation], deviator
-            ),
-        ).run()
+            node=deviator,
+            spec=DEVIATION_CATALOGUE[deviation],
+        )
         assert result.progressed  # execution frauds pass construction
 
         for node in graph.nodes:
@@ -71,7 +69,7 @@ class TestSettlementInvariants:
     def test_faithful_baseline_is_exactly_balanced(self):
         rng = random.Random(3)
         graph = random_biconnected_graph(5, rng)
-        result = FaithfulFPSSProtocol(graph, uniform_all_pairs(graph)).run()
+        result = run_deviation(graph, uniform_all_pairs(graph))
         assert sum(result.received.values()) == pytest.approx(
             sum(result.charged.values())
         )

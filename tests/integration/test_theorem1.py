@@ -13,11 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    faithful_deviation_table,
-    plain_deviation_table,
-    routing_distributed_mechanism,
-)
+from repro.experiments import deviation_table, routing_distributed_mechanism
 from repro.faithful import DEVIATION_CATALOGUE
 from repro.mechanism import (
     TypeProfile,
@@ -49,7 +45,7 @@ class TestTheorem1OnFigure1:
     @pytest.fixture(scope="class")
     def table(self):
         graph = figure1_graph()
-        return faithful_deviation_table(graph, uniform_all_pairs(graph))
+        return deviation_table(graph, uniform_all_pairs(graph))
 
     def test_no_deviation_profits(self, table):
         assert table.is_faithful()
@@ -68,9 +64,10 @@ class TestTheorem1OnFigure1:
 class TestPlainCounterpart:
     def test_plain_fpss_is_not_faithful(self):
         graph = figure1_graph()
-        table = plain_deviation_table(
+        table = deviation_table(
             graph,
             uniform_all_pairs(graph),
+            faithful=False,
             nodes=("C", "D"),
             deviations=(
                 "false-route-announce",
@@ -94,7 +91,7 @@ class TestTheorem1OnRandomGraphs:
         rng = random.Random(seed)
         graph = random_biconnected_graph(rng.randint(4, 6), rng)
         deviator = rng.choice(list(graph.nodes))
-        table = faithful_deviation_table(
+        table = deviation_table(
             graph,
             uniform_all_pairs(graph),
             nodes=[deviator],

@@ -19,11 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faithful import (
-    DEVIATION_CATALOGUE,
-    PlainFPSSProtocol,
-    plain_deviant_factory,
-)
+from repro.faithful import DEVIATION_CATALOGUE, run_deviation
 from repro.routing import FPSSComputation, RouteEntry
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
@@ -83,13 +79,9 @@ class TestFootnote8EndToEnd:
         traffic = uniform_all_pairs(graph)
         deviator = rng.choice(list(graph.nodes))
 
-        baseline = PlainFPSSProtocol(graph, traffic).run()
+        baseline = run_deviation(graph, traffic, faithful=False)
         spec = DEVIATION_CATALOGUE["false-price-announce"]
-        deviant = PlainFPSSProtocol(
-            graph,
-            traffic,
-            node_factory=plain_deviant_factory(spec, deviator),
-        ).run()
+        deviant = run_deviation(graph, traffic, False, deviator, spec)
         assert (
             deviant.received[deviator]
             <= baseline.received[deviator] + 1e-9
@@ -98,11 +90,7 @@ class TestFootnote8EndToEnd:
     def test_route_announcements_are_the_open_channel(self, fig1, fig1_traffic):
         """Contrast: *routing* announcements do inflate income in plain
         FPSS (manipulation 2), which is why the checkers exist."""
-        baseline = PlainFPSSProtocol(fig1, fig1_traffic).run()
+        baseline = run_deviation(fig1, fig1_traffic, faithful=False)
         spec = DEVIATION_CATALOGUE["false-route-announce"]
-        deviant = PlainFPSSProtocol(
-            fig1,
-            fig1_traffic,
-            node_factory=plain_deviant_factory(spec, "C"),
-        ).run()
+        deviant = run_deviation(fig1, fig1_traffic, False, "C", spec)
         assert deviant.received["C"] > baseline.received["C"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConvergenceError, ProtocolError, SimulationError
+from repro.obs.events import BUS, KIND_MARKER
 from repro.sim import Message, NetworkTopology, ProtocolNode, Simulator
 
 
@@ -127,11 +128,18 @@ class TestFiltersAndHooks:
     def test_outbound_filter_drop(self):
         sim, a, b = make_pair()
         a.outbound = lambda message: None
-        a.send("b", "ping")
-        sim.run_until_quiescent()
+        with BUS.capture() as sink:
+            a.send("b", "ping")
+            sim.run_until_quiescent()
         assert b.pings == 0
-        drops = [e for e in sim.trace.events if e.kind.value == "drop"]
+        drops = [
+            e for e in sink.events
+            if e.kind == KIND_MARKER and e.name == "sim.drop"
+        ]
         assert len(drops) == 1
+        assert drops[0].attrs == {
+            "node": "a", "kind": "ping", "reason": "outbound-filter"
+        }
 
     def test_inbound_filter_replace(self):
         sim, a, b = make_pair()

@@ -1,54 +1,12 @@
-"""Tests for traces and overhead metrics."""
+"""Tests for overhead metrics and the simulator's drop markers."""
 
+from repro.obs.events import BUS, KIND_MARKER
 from repro.sim import (
-    Message,
     MetricsRegistry,
     NetworkTopology,
     ProtocolNode,
     Simulator,
-    Trace,
-    TraceKind,
 )
-
-
-class TestTrace:
-    def test_record_and_filter(self):
-        trace = Trace()
-        msg = Message(src="a", dst="b", kind="k")
-        trace.record(0.0, TraceKind.SEND, "a", msg)
-        trace.record(1.0, TraceKind.DELIVER, "b", msg)
-        trace.record(2.0, TraceKind.DETECT, None, None, reason="mismatch")
-        assert len(trace) == 3
-        assert len(trace.sends()) == 1
-        assert len(trace.deliveries("b")) == 1
-        assert len(trace.detections()) == 1
-        assert trace.detections()[0].detail["reason"] == "mismatch"
-
-    def test_predicate_filter(self):
-        trace = Trace()
-        for i in range(5):
-            trace.record(float(i), TraceKind.COMPUTE, "n", None, step=i)
-        evens = trace.filter(predicate=lambda e: e.detail["step"] % 2 == 0)
-        assert len(evens) == 3
-
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.record(0.0, TraceKind.SEND, "a")
-        assert len(trace) == 0
-
-    def test_messages_by_kind(self):
-        trace = Trace()
-        for kind in ("rt-update", "rt-update", "price-update"):
-            trace.record(
-                0.0, TraceKind.SEND, "a", Message(src="a", dst="b", kind=kind)
-            )
-        assert trace.messages_by_kind() == {"rt-update": 2, "price-update": 1}
-
-    def test_clear(self):
-        trace = Trace()
-        trace.record(0.0, TraceKind.SEND, "a")
-        trace.clear()
-        assert len(trace) == 0
 
 
 class TestMetrics:
@@ -90,18 +48,41 @@ class TestMetrics:
         assert metrics.node("a").messages_sent == 1
 
 
-class TestTraceInSimulation:
-    def test_simulation_produces_send_and_deliver_events(self):
+class TestDropMarker:
+    def test_inbound_filter_drop_emits_one_marker(self):
         class Sink(ProtocolNode):
             def on_data(self, message):
-                pass
+                raise AssertionError("a dropped message was dispatched")
 
         topo = NetworkTopology.from_edges([("a", "b")])
-        sim = Simulator(topo, trace_enabled=True)
-        a = ProtocolNode("a")
+        sim = Simulator(topo)
+        a, b = ProtocolNode("a"), Sink("b")
+        b.inbound = lambda message: None
         sim.add_node(a)
-        sim.add_node(Sink("b"))
+        sim.add_node(b)
+        with BUS.capture() as sink:
+            a.send("b", "data")
+            sim.run_until_quiescent()
+        drops = [
+            e for e in sink.events
+            if e.kind == KIND_MARKER and e.name == "sim.drop"
+        ]
+        assert len(drops) == 1
+        assert drops[0].attrs == {
+            "node": "b", "kind": "data", "reason": "inbound-filter"
+        }
+        # The message was sent and delivered before the filter dropped it.
+        assert sim.metrics.node("a").messages_sent == 1
+        assert sim.metrics.node("b").messages_received == 1
+
+    def test_drop_without_sink_is_silent(self):
+        topo = NetworkTopology.from_edges([("a", "b")])
+        sim = Simulator(topo)
+        a = ProtocolNode("a")
+        a.outbound = lambda message: None
+        sim.add_node(a)
+        sim.add_node(ProtocolNode("b"))
+        assert not BUS.enabled
         a.send("b", "data")
         sim.run_until_quiescent()
-        kinds = [e.kind for e in sim.trace.events]
-        assert kinds == [TraceKind.SEND, TraceKind.DELIVER]
+        assert sim.metrics.total_messages == 0

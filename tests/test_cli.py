@@ -1,9 +1,17 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, resolve_graph
 from repro.errors import ReproError
+from repro.faithful import DEVIATION_CATALOGUE
+
+#: ``repro deviate <name> C --graph figure1`` for every catalogue entry,
+#: in catalogue order, as printed before the deviation runs were folded
+#: into ``run_deviation``.
+DEVIATE_GOLDEN = Path(__file__).parent / "data" / "deviate_figure1_C.txt"
 
 
 class TestResolveGraph:
@@ -66,6 +74,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "payment-underreport by C" in out
         assert "plain" in out and "faithful" in out
+
+    def test_deviate_golden_every_catalogue_entry(self, capsys):
+        """Gains, detection and restarts, not just labels, for all of
+        the catalogue on the paper's network."""
+        for name in DEVIATION_CATALOGUE:
+            assert main(["deviate", name, "C", "--graph", "figure1"]) == 0
+        assert capsys.readouterr().out == DEVIATE_GOLDEN.read_text()
 
     def test_deviate_unknown_deviation(self, capsys):
         assert main(["deviate", "mind-control", "C"]) == 2
