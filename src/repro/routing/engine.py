@@ -24,14 +24,15 @@ Graphs are immutable, so a module-level weak cache
 functional APIs in :mod:`repro.routing.lcp` and
 :mod:`repro.routing.vcg_payments`.
 
-Cost-only queries are cheaper still.  Node-weighted path costs are
-direction-symmetric — reversing a path keeps its interior (transit)
-set, so ``cost(i, j, avoiding=k) == cost(j, i, avoiding=k)`` — which
-lets :meth:`RoutingEngine.cost` and the batched
-:meth:`RoutingEngine.detour_costs` serve a query from a tree rooted at
-*either* endpoint.  When no tree covers the pair, a cost-only Dijkstra
-(no path reconstruction, no lexicographic tie-breaks: the minimum cost
-is the same for every tying path) fills a separate, lighter cache.
+Cost-only queries are cheaper still.  :meth:`RoutingEngine.cost` and
+the batched :meth:`RoutingEngine.detour_costs` read a cached tree rooted
+at the query's source; when there is none, a cost-only Dijkstra (no
+path reconstruction, no lexicographic tie-breaks: the minimum cost is
+the same for every tying path) fills a separate, lighter cache.  A
+query is never answered from a tree rooted at the *other* endpoint:
+that tree sums the same path's costs in reverse order, which can differ
+in the last bit, so the answer would depend on which trees happened to
+be cached.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ class RoutingEngine:
         self.settled = 0
         #: Tree queries served from cache.
         self.hits = 0
-        #: Cost queries served from a tree rooted at the other endpoint.
-        self.symmetry_hits = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -244,12 +243,9 @@ class RoutingEngine:
         destination: NodeId,
         avoiding: Optional[NodeId] = None,
     ) -> Cost:
-        """Just the LCP cost for one pair (cost-only, symmetry-aware).
+        """Just the LCP cost for one pair (cost-only).
 
-        A path's cost is the sum of its interior node costs, and
-        reversing a path keeps its interior set, so
-        ``cost(i, j, -k) == cost(j, i, -k)``: a cached tree rooted at
-        either endpoint answers the query.  When neither endpoint has
+        A cached tree rooted at ``source`` answers the query; without
         one, a cost-only Dijkstra runs from ``source`` — no path
         reconstruction and no lexicographic tie-breaks, because every
         tying path has the same (minimum) cost.  Validation matches
@@ -292,11 +288,11 @@ class RoutingEngine:
 
         The batch shape of the VCG payment rule — every destination
         routed through transit node ``avoiding`` needs the detour cost
-        around it.  Each destination is served from any cached tree
-        rooted at either endpoint (cost symmetry); the remainder, if
-        any, is covered by a *single* cost-only Dijkstra from
-        ``source``.  Raises :class:`RoutingError` when a destination is
-        disconnected by the restriction or coincides with an endpoint.
+        around it.  Each destination is served from a cached tree
+        rooted at ``source``; the remainder, if any, is covered by a
+        *single* cost-only Dijkstra from ``source``.  Raises
+        :class:`RoutingError` when a destination is disconnected by the
+        restriction or coincides with an endpoint.
         """
         src = self._index.get(source)
         if src is None:
@@ -319,7 +315,7 @@ class RoutingEngine:
                     f"cannot avoid endpoint {avoiding!r} of pair "
                     f"({source!r}, {destination!r})"
                 )
-            found: object
+            found: object = _MISS
             if full is not None:
                 entry = full.get(destination)
                 found = None if entry is None else entry.cost
@@ -331,8 +327,6 @@ class RoutingEngine:
                     found = _MISS
                 else:
                     self.hits += 1
-            else:
-                found = self._reverse_cost(src, dst, avoid)
             if found is _MISS:
                 missing.append((destination, dst))
                 continue
@@ -454,8 +448,8 @@ class RoutingEngine:
     def _pair_cost(self, src: int, dst: int, avoid: int) -> Optional[Cost]:
         """Cost label for one indexed pair; ``None`` when disconnected.
 
-        Lookup order: full tree at either endpoint, cost-only labels at
-        either endpoint, then one fresh cost-only run from ``src``.
+        Lookup order: full tree from ``src``, cost-only labels from
+        ``src``, then one fresh cost-only run from ``src``.
         """
         full = self._trees.get((src, avoid))
         if full is not None:
@@ -469,9 +463,6 @@ class RoutingEngine:
             if found is not None or complete:
                 self.hits += 1
                 return found
-        found = self._reverse_cost(src, dst, avoid)
-        if found is not _MISS:
-            return found
         labels, complete = self._sssp_costs(src, avoid)
         if cached is not None:
             merged = dict(cached[0])
@@ -479,28 +470,6 @@ class RoutingEngine:
             labels = merged
         self._cost_trees[(src, avoid)] = (labels, True)
         return labels.get(dst)
-
-    def _reverse_cost(self, src: int, dst: int, avoid: int):
-        """Serve ``cost(src -> dst, -avoid)`` from a tree rooted at
-        ``dst``, or return the ``_MISS`` sentinel when none is cached.
-
-        ``None`` (as opposed to ``_MISS``) is an authoritative answer:
-        the reverse tree is complete and does not reach ``src``, so by
-        cost symmetry the forward pair is disconnected too.
-        """
-        full = self._trees.get((dst, avoid))
-        if full is not None:
-            self.symmetry_hits += 1
-            entry = full.get(self._ids[src])
-            return None if entry is None else entry.cost
-        cached = self._cost_trees.get((dst, avoid))
-        if cached is not None:
-            labels, complete = cached
-            found = labels.get(src)
-            if found is not None or complete:
-                self.symmetry_hits += 1
-                return found
-        return _MISS
 
     def node_cost(self, node: NodeId) -> Cost:
         """The declared transit cost of one node."""

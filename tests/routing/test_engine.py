@@ -13,7 +13,7 @@ import heapq
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError, RoutingError
@@ -162,6 +162,12 @@ class TestSeedParity:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
+    # Seeds whose payments differed in the last bit while cost queries
+    # could be answered from a tree rooted at the other endpoint.
+    @example(237)
+    @example(743)
+    @example(825)
+    @example(1189)
     def test_random_graph_payments_byte_identical(self, seed):
         """Property: VCG payments equal the seed formula exactly."""
         graph = _tie_heavy_graph(seed)
@@ -183,6 +189,32 @@ class TestSeedParity:
                     - ref_route.cost
                 )
                 assert bundle.payments[transit] == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    @example(237)
+    def test_costs_ignore_reverse_rooted_trees(self, seed):
+        """Property: ``cost()`` and ``detour_costs()`` return the same
+        bits whether or not a tree rooted at the destination (full or
+        cost-only) was cached first, and match the seed oracle."""
+        graph = _tie_heavy_graph(seed)
+        rng = random.Random(seed ^ 0x3C3C)
+        nodes = list(graph.nodes)
+        for _ in range(6):
+            source, destination, avoided = rng.sample(nodes, 3)
+            full_reverse = RoutingEngine(graph)
+            full_reverse.tree(destination, avoiding=avoided)
+            labels_reverse = RoutingEngine(graph)
+            labels_reverse.cost(destination, source, avoiding=avoided)
+            expected = seed_lowest_cost_path(
+                graph, source, destination, avoiding=avoided
+            ).cost
+            for engine in (RoutingEngine(graph), full_reverse, labels_reverse):
+                cost = engine.cost(source, destination, avoiding=avoided)
+                assert cost == expected
+            for engine in (RoutingEngine(graph), full_reverse, labels_reverse):
+                batch = engine.detour_costs(source, avoided, [destination])
+                assert batch == {destination: expected}
 
 
 # ----------------------------------------------------------------------
