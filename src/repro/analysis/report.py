@@ -44,4 +44,3 @@ def render_table(
     lines.append(fmt(["-" * w for w in widths]))
     lines.extend(fmt(row) for row in str_rows)
     return "\n".join(lines)
-

@@ -1,24 +1,23 @@
 """Tests for overhead metrics and the simulator's drop markers."""
 
 from repro.obs.events import BUS, KIND_MARKER
-from repro.sim import (
-    MetricsRegistry,
-    NetworkTopology,
-    ProtocolNode,
-    Simulator,
-)
+from repro.sim import MetricsRegistry, NetworkTopology, ProtocolNode, Simulator
 
 
 class TestMetrics:
     def test_counters_accumulate(self):
         metrics = MetricsRegistry()
-        metrics.record_send("a", payload_units=3)
-        metrics.record_send("a", payload_units=2)
+        metrics.record_send("a", payload_units=3, kind="rt-update")
+        metrics.record_send("a", payload_units=2, kind="price-update")
+        metrics.record_send("a", payload_units=0, kind="rt-update")
         metrics.record_receive("b")
         metrics.record_computation("a")
         metrics.record_computation("a", as_checker=True)
-        assert metrics.node("a").messages_sent == 2
+        assert metrics.node("a").messages_sent == 3
         assert metrics.node("a").payload_units_sent == 5
+        assert metrics.messages_of_kind("rt-update") == 2
+        assert metrics.messages_of_kind("price-update") == 1
+        assert metrics.messages_of_kind("bank-report") == 0
         assert metrics.node("b").messages_received == 1
         assert metrics.node("a").computations == 1
         assert metrics.node("a").checker_computations == 1
