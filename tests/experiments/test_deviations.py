@@ -10,6 +10,11 @@ from repro.experiments import (
     make_runner,
     routing_distributed_mechanism,
 )
+from repro.faithful import (
+    DEVIATION_CATALOGUE,
+    FaithfulFPSSProtocol,
+    PlainFPSSProtocol,
+)
 from repro.mechanism import TypeProfile, check_ic, check_strong_ac, check_strong_cc
 from repro.workloads import ring_graph, uniform_all_pairs
 
@@ -40,6 +45,18 @@ class TestRunners:
         _, detected = runner(graph.nodes[0], "payment-underreport")
         assert not detected
 
+    @pytest.mark.parametrize(
+        "faithful, protocol",
+        [(True, FaithfulFPSSProtocol), (False, PlainFPSSProtocol)],
+    )
+    def test_baseline_is_the_obedient_protocol_run(
+        self, setup, faithful, protocol
+    ):
+        graph, traffic = setup
+        utilities, detected = make_runner(graph, traffic, faithful)(None, None)
+        assert utilities == protocol(graph, traffic).run().utilities
+        assert not detected
+
 
 class TestDeviationTables:
     def test_faithful_table_is_faithful(self, setup):
@@ -65,8 +82,35 @@ class TestDeviationTables:
         assert not table.is_faithful()
         assert table.max_gain > 0
 
+    def test_plain_default_explores_plain_capable_entries_only(self, setup):
+        graph, traffic = setup
+        table = deviation_table(
+            graph, traffic, faithful=False, nodes=[graph.nodes[0]]
+        )
+        explored = list(table.by_deviation())
+        assert explored == [
+            name
+            for name, spec in DEVIATION_CATALOGUE.items()
+            if spec.plain_capable
+        ]
+        assert "copy-drop" not in explored
+        assert not any(outcome.detected for outcome in table.outcomes)
+
 
 class TestDistributedMechanismPackaging:
+    @pytest.mark.parametrize("faithful", [True, False])
+    def test_default_strategy_space_follows_the_flavour(self, setup, faithful):
+        graph, traffic = setup
+        dm = routing_distributed_mechanism(graph, traffic, faithful=faithful)
+        for node in graph.nodes:
+            names = [s.name for s in dm.strategies_of(node)]
+            assert names[0] == "suggested"
+            assert names[1:] == [
+                name
+                for name, spec in DEVIATION_CATALOGUE.items()
+                if faithful or spec.plain_capable
+            ]
+
     def test_compatibility_checks_pass_on_faithful(self, setup):
         graph, traffic = setup
         dm = routing_distributed_mechanism(
