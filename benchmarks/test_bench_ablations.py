@@ -24,6 +24,7 @@ from repro.analysis import render_table
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     FaithfulFPSSProtocol,
+    FaithfulRoutingNode,
     faithful_deviant_factory,
 )
 from repro.sim import OmissionAdapter
@@ -108,16 +109,18 @@ def test_bench_section5_omission_false_punish(benchmark, fig1, fig1_traffic):
         for prob in probs:
             detected = 0
             for trial in range(trials):
-                def install(node, prob=prob, trial=trial):
-                    if node.node_id == "C":
+                def lossy(node_id, cost, signing, prob=prob, trial=trial):
+                    node = FaithfulRoutingNode(node_id, cost, signing)
+                    if node_id == "C":
                         OmissionAdapter(
                             node,
                             random.Random(trial * 7 + 1),
                             send_drop_prob=prob,
                         )
+                    return node
 
                 result = FaithfulFPSSProtocol(
-                    fig1, fig1_traffic, node_adapters=install
+                    fig1, fig1_traffic, node_factory=lossy
                 ).run()
                 detected += bool(result.detection.detected_any)
             rows.append([prob, detected / trials])

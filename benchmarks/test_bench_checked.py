@@ -34,9 +34,9 @@ import time
 import pytest
 
 from repro.analysis import render_table
-from repro.faithful import run_checked_construction, verify_checked_network
+from repro.faithful import run_checked_churn, verify_checked_network
 from repro.faithful.node import KIND_CHECKER_COPY
-from repro.routing import verify_against_kernel
+from repro.routing import verify_epoch_equivalence
 from repro.workloads import random_biconnected_graph
 
 #: The checked 64-node acceptance number: the shared-kernel run takes
@@ -76,7 +76,7 @@ def assert_copies_coalesced(checked):
     copy_messages = checked.simulator.metrics.messages_of_kind(
         KIND_CHECKER_COPY
     )
-    uncoalesced = checked.metrics["uncoalesced_copy_sends"]
+    uncoalesced = checked.simulator.metrics.uncoalesced_copy_sends
     assert 0 < copy_messages < uncoalesced
     return copy_messages, uncoalesced
 
@@ -90,7 +90,10 @@ def run_checked(graph, shared):
     gc.freeze()
     started = time.perf_counter()
     try:
-        checked = run_checked_construction(graph, shared_checking=shared)
+        # The callers verify the network outside the timed region.
+        checked = run_checked_churn(
+            graph, shared_checking=shared, verify=False
+        )
     finally:
         elapsed = time.perf_counter() - started
         gc.unfreeze()
@@ -112,29 +115,30 @@ def test_bench_checked_convergence_64(benchmark):
     if elapsed >= BOUND_64:
         retry_elapsed, checked = run_checked(graph, shared=True)
         elapsed = min(elapsed, retry_elapsed)
-    verify_checked_network(graph, checked)
-    verify_against_kernel(graph, checked.nodes)
+    verify_checked_network(graph, checked.nodes, checked.all_flags)
+    verify_epoch_equivalence(graph, checked.nodes)
+    stats = checked.kernel_stats()
     print()
     print(
         render_table(
             ["n", "edges", "seconds", "phase-2 ev", "checker comps",
              "shared hits", "rows ingested", "avoid rescans"],
             [[64, len(graph.edges), round(elapsed, 3),
-              checked.phase2_events,
-              checked.metrics["total_checker_computations"],
-              checked.kernel_stats.shared_hits,
-              checked.kernel_stats.rows_ingested,
-              checked.kernel_stats.avoid_rescans]],
+              checked.initial.phase2_events,
+              checked.simulator.metrics.total_checker_computations,
+              stats.shared_hits,
+              stats.rows_ingested,
+              stats.avoid_rescans]],
             title="Checked 64-node convergence (shared kernel, "
             "oracle + kernel verified)",
         )
     )
-    assert not checked.flags
+    assert not checked.all_flags
     assert_copies_coalesced(checked)
     # Exact work of the shared kernels: the rows are the wire's (fixed by
     # the protocol), the rescans the kernel's entry-time rule.
-    assert checked.kernel_stats.rows_ingested == 1_757_887
-    assert checked.kernel_stats.avoid_rescans == 21_824
+    assert stats.rows_ingested == 1_757_887
+    assert stats.avoid_rescans == 21_824
     assert elapsed < BOUND_64
 
 
@@ -151,16 +155,16 @@ def test_bench_shared_vs_per_neighbour(benchmark):
         run, rounds=1, iterations=1
     )
     for checked in (shared, private):
-        verify_checked_network(graph, checked)
+        verify_checked_network(graph, checked.nodes, checked.all_flags)
     # Digest parity is bit-exact across modes.
     for node_id in shared.nodes:
         assert (
             shared.nodes[node_id].comp.full_digest()
             == private.nodes[node_id].comp.full_digest()
         )
-    shared_comps = shared.metrics["total_checker_computations"]
-    private_comps = private.metrics["total_checker_computations"]
-    stats = shared.kernel_stats
+    shared_comps = shared.simulator.metrics.total_checker_computations
+    private_comps = private.simulator.metrics.total_checker_computations
+    stats = shared.kernel_stats()
     print()
     print(
         render_table(
@@ -189,7 +193,8 @@ def test_bench_shared_vs_per_neighbour(benchmark):
     private_copy_msgs, _ = assert_copies_coalesced(private)
     assert shared_copy_msgs == private_copy_msgs
     assert (
-        shared.metrics["total_messages"] == private.metrics["total_messages"]
+        shared.simulator.metrics.total_messages
+        == private.simulator.metrics.total_messages
     )
 
 
@@ -203,24 +208,25 @@ def test_bench_checked_convergence_128():
     """
     graph = sparse_graph(128)
     elapsed, checked = run_checked(graph, shared=True)
-    verify_checked_network(graph, checked)
+    verify_checked_network(graph, checked.nodes, checked.all_flags)
     copy_msgs, uncoalesced = assert_copies_coalesced(checked)
+    stats = checked.kernel_stats()
     print()
     print(
         render_table(
             ["n", "edges", "seconds", "phase-2 ev", "checker comps",
              "shared hits", "copy msgs", "uncoalesced"],
             [[128, len(graph.edges), round(elapsed, 3),
-              checked.phase2_events,
-              checked.metrics["total_checker_computations"],
-              checked.kernel_stats.shared_hits,
+              checked.initial.phase2_events,
+              checked.simulator.metrics.total_checker_computations,
+              stats.shared_hits,
               copy_msgs, uncoalesced]],
             title="Checked 128-node convergence (default tier)",
         )
     )
-    assert not checked.flags
-    assert checked.kernel_stats.forks == 0
-    assert checked.kernel_stats.shared_hits > 0
+    assert not checked.all_flags
+    assert stats.forks == 0
+    assert stats.shared_hits > 0
 
 
 @pytest.mark.slow
@@ -228,20 +234,21 @@ def test_bench_checked_convergence_256():
     """Slow-tier extension: checked 256-node convergence (nightly)."""
     graph = sparse_graph(256)
     elapsed, checked = run_checked(graph, shared=True)
-    verify_checked_network(graph, checked)
+    verify_checked_network(graph, checked.nodes, checked.all_flags)
     copy_msgs, uncoalesced = assert_copies_coalesced(checked)
+    stats = checked.kernel_stats()
     print()
     print(
         render_table(
             ["n", "edges", "seconds", "phase-2 ev", "checker comps",
              "shared hits", "copy msgs", "uncoalesced"],
             [[256, len(graph.edges), round(elapsed, 3),
-              checked.phase2_events,
-              checked.metrics["total_checker_computations"],
-              checked.kernel_stats.shared_hits,
+              checked.initial.phase2_events,
+              checked.simulator.metrics.total_checker_computations,
+              stats.shared_hits,
               copy_msgs, uncoalesced]],
             title="Checked 256-node convergence (slow tier)",
         )
     )
-    assert not checked.flags
-    assert checked.kernel_stats.forks == 0
+    assert not checked.all_flags
+    assert stats.forks == 0

@@ -18,7 +18,7 @@ from conftest import once
 from repro.analysis import render_table
 from repro.faithful import FaithfulFPSSProtocol, PlainFPSSProtocol
 from repro.obs import BUS, NullSink, span
-from repro.routing import measure_convergence
+from repro.routing import run_plain_fpss
 from repro.workloads import random_biconnected_graph, uniform_all_pairs
 
 SIZES = (5, 7, 9)
@@ -141,7 +141,7 @@ def test_bench_disabled_overhead_on_convergence(benchmark):
 
     def run_once():
         started = time.perf_counter()
-        stats = measure_convergence(graph, verify=False)
+        _simulator, _nodes, stats = run_plain_fpss(graph)
         return time.perf_counter() - started, stats
 
     def run_both():

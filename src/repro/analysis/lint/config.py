@@ -27,13 +27,19 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 #: Modules whose iteration order can escape into wire payloads,
-#: digests, or artifact rows (ISSUE 6 tentpole list).
+#: digests, or artifact rows.  The run paths (``convergence``,
+#: ``dynamic``, ``protocol``, ``epochs``) belong here because their
+#: scheduling order fixes the event sequence.
 CANONICAL_PATH_MODULES: FrozenSet[str] = frozenset(
     {
         "routing/kernel.py",
         "routing/kernel_dict.py",
         "routing/fpss.py",
         "routing/tables.py",
+        "routing/convergence.py",
+        "routing/dynamic.py",
+        "faithful/protocol.py",
+        "faithful/epochs.py",
         "faithful/mirror.py",
         "faithful/bank.py",
         "faithful/settlement.py",

@@ -42,7 +42,7 @@ from ..mechanism.faithfulness import proposition1_verdict
 from ..mechanism.types import TypeProfile
 from ..obs.events import BUS
 from ..obs.trace import NOOP_SPAN, aggregate_counters, span
-from ..routing.convergence import measure_convergence
+from ..routing.convergence import run_plain_fpss, verify_against_oracle
 from ..routing.vcg_payments import economics_under_traffic
 from .deviations import routing_distributed_mechanism
 from .spec import ScenarioSpec, SweepSpec
@@ -201,7 +201,10 @@ def _payments_probe(
 def _convergence_probe(
     spec: ScenarioSpec, graph, traffic
 ) -> Dict[str, float]:
-    stats = measure_convergence(graph, link_delays=spec.link_delays())
+    _simulator, nodes, stats = run_plain_fpss(
+        graph, link_delays=spec.link_delays()
+    )
+    verify_against_oracle(graph, nodes, check_prices=False)
     return {
         "phase1_events": float(stats.phase1_events),
         "phase2_events": float(stats.phase2_events),

@@ -10,7 +10,9 @@ Epoch semantics
 :func:`run_checked_churn` drives a fully mirrored network (every node a
 :class:`~repro.faithful.node.FaithfulRoutingNode` checking all of its
 neighbours) through an initial construction plus one reconvergence
-epoch per entry of a :class:`~repro.sim.churn.ChurnSchedule`.  Each
+epoch per entry of a :class:`~repro.sim.churn.ChurnSchedule`.  With the
+default empty schedule it is the checked construction alone (no bank),
+the unit the checker-scaling benchmarks and parity tests measure.  Each
 epoch applies its events at network quiescence, then re-runs both
 construction phases from scratch — the paper's recomputation protocol,
 where DATA1 re-floods and phase 2 restarts on the post-event graph.
@@ -42,13 +44,19 @@ mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConvergenceError, SimulationError
 from ..obs.trace import emit_counters, emit_marker
+from ..routing.convergence import (
+    CHECKED_EVENT_BUDGET,
+    build_network,
+    link_delay,
+    run_execution,
+    run_phase,
+    verify_against_oracle,
+)
 from ..routing.dynamic import verify_epoch_equivalence
-from ..routing.convergence import topology_from_graph
-from ..routing.fpss import install_key_space
 from ..routing.graph import ASGraph, NodeId
 from ..routing.kernel import KernelStats, MirrorKernelPool
 from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_epoch
@@ -103,6 +111,9 @@ class CheckedChurnRun:
     #: deltas recorded as obligations and closed into batch transfers
     #: (None when the run carried no traffic).
     ledger: Optional[NettingLedger] = None
+    #: Work of the mirrors' private kernels (per-neighbour replay, seed
+    #: mismatches, forks), collected at every epoch's checkpoint.
+    private_stats: KernelStats = field(default_factory=KernelStats)
 
     @property
     def all_flags(self) -> List[Tuple[int, Tuple]]:
@@ -113,10 +124,16 @@ class CheckedChurnRun:
         return out
 
     def kernel_stats(self) -> KernelStats:
-        """Aggregated shared-replay counters (zeroed without sharing)."""
-        if self.pool is None:
-            return KernelStats()
-        return self.pool.collected_stats()
+        """Replay counters of every mirror kernel across all epochs.
+
+        The pool's shared kernels plus the private ones; a shared
+        mirror's work is counted once, on its pooled kernel.
+        """
+        total = KernelStats()
+        if self.pool is not None:
+            total.merge(self.pool.collected_stats())
+        total.merge(self.private_stats)
+        return total
 
     @property
     def seed_mismatches(self) -> int:
@@ -124,24 +141,15 @@ class CheckedChurnRun:
         return self.kernel_stats().seed_mismatches
 
 
-def _resolve_delay(link_delays, a: NodeId, b: NodeId) -> float:
-    if callable(link_delays):
-        return float(link_delays(a, b))
-    if isinstance(link_delays, dict):
-        return float(link_delays.get(frozenset((a, b)), 1.0))
-    return float(link_delays)
-
-
 def run_checked_churn(
     graph: ASGraph,
-    schedule: ChurnSchedule,
+    schedule: ChurnSchedule = ChurnSchedule(epochs=()),
     traffic: Optional[TrafficMatrix] = None,
     shared_checking: bool = True,
     epoch_bump: bool = True,
     link_delays=1.0,
     batch_delivery: bool = True,
-    max_events: int = 8_000_000,
-    node_factory: Optional[FaithfulNodeFactory] = None,
+    node_factory: FaithfulNodeFactory = FaithfulRoutingNode,
     verify: bool = True,
     on_epoch_start: Optional[
         Callable[[int, Dict[NodeId, FaithfulRoutingNode]], None]
@@ -155,7 +163,12 @@ def run_checked_churn(
     DATA3* digests are bit-identical to a fresh
     :func:`~repro.routing.kernel.kernel_fixed_point` run on the
     post-event graph and that every live mirror agrees with its
-    principal.  ``epoch_bump=False`` deliberately skips the
+    principal (:func:`verify_checked_network`).  ``shared_checking``
+    toggles the :class:`~repro.routing.kernel.MirrorKernelPool` against
+    the per-neighbour reference replay; both give bit-identical flags
+    and digests.  ``node_factory`` builds each node as
+    ``node_factory(node_id, cost, None)`` (no bank, so no signing).
+    ``epoch_bump=False`` deliberately skips the
     :meth:`~repro.routing.kernel.MirrorKernelPool.new_epoch` call on
     reconvergence (regression seam; see module docstring).  Optional
     ``traffic`` is routed after every epoch (including the initial
@@ -175,25 +188,20 @@ def run_checked_churn(
                     f"plain mechanism (repro.routing.dynamic)"
                 )
     graph.require_biconnected()
-    simulator = Simulator(
-        topology_from_graph(graph, delay=link_delays),
+    simulator, nodes, keys = build_network(
+        graph,
+        node_factory,
+        None,
+        link_delays=link_delays,
         batch_delivery=batch_delivery,
     )
-    factory = node_factory or (
-        lambda node_id, cost, signing: FaithfulRoutingNode(node_id, cost, signing)
-    )
-    nodes: Dict[NodeId, FaithfulRoutingNode] = {}
-    for node_id in graph.nodes:
-        node = factory(node_id, graph.cost(node_id), None)
-        nodes[node_id] = node
-        simulator.add_node(node)
-    keys = install_key_space(nodes)
     pool = MirrorKernelPool(keys) if shared_checking else None
     for node in nodes.values():
         node.mirror_pool = pool
     node_ids = tuple(sorted(nodes, key=repr))
     flows = sorted(dict(traffic or {}).items(), key=repr)
     ledger = NettingLedger() if flows else None
+    private_stats = KernelStats()
     #: Last-seen declared payment totals per payer; the per-epoch
     #: delta is what gets recorded as this epoch's obligations.
     payment_snapshots: Dict[NodeId, Dict[NodeId, float]] = {
@@ -201,17 +209,15 @@ def run_checked_churn(
     }
 
     def construct(epoch: int, events: Tuple[ChurnEvent, ...], current: ASGraph) -> CheckedEpoch:
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-            )
-        phase1_events = simulator.run_until_quiescent(max_events=max_events)
+        phase1_events = run_phase(
+            simulator, nodes, "phase1", CHECKED_EVENT_BUDGET, epoch=epoch
+        )
         for node_id in node_ids:
             node = nodes[node_id]
             live = set(current.neighbors(node_id))
             # Re-anchor the checking relation on the new topology:
-            # mirrors of ex-neighbours are dropped (their flags were
-            # already collected at the previous epoch's checkpoint).
+            # mirrors of ex-neighbours are dropped (their flags and
+            # private work were collected at the previous checkpoint).
             for principal in tuple(node.mirrors):
                 if principal not in live:
                     del node.mirrors[principal]
@@ -224,11 +230,9 @@ def run_checked_churn(
         if pool is not None and (epoch == 0 or epoch_bump):
             pool.new_epoch()
             emit_marker("mirror.epoch", sim_time=simulator.now, epoch=epoch)
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-            )
-        phase2_events = simulator.run_until_quiescent(max_events=max_events)
+        phase2_events = run_phase(
+            simulator, nodes, "phase2", CHECKED_EVENT_BUDGET, epoch=epoch
+        )
 
         flags: List[Flag] = []
         for node_id in node_ids:
@@ -239,6 +243,11 @@ def run_checked_churn(
                 if mirror.comp is None:
                     continue
                 flags.extend(mirror.checkpoint_flags())
+                # Forked and seed-mismatched mirrors replay privately;
+                # their work lives on their own kernels, not the pool.
+                private = mirror.private_kernel_stats()
+                if private is not None:
+                    private_stats.merge(private)
         flags.sort(key=Flag.sort_key)
 
         report = CheckedEpoch(
@@ -253,7 +262,7 @@ def run_checked_churn(
             _route_epoch(report)
         if verify and not report.flags:
             verify_epoch_equivalence(current, nodes)
-            _verify_mirror_agreement(nodes)
+            verify_checked_network(current, nodes, check_oracle=False)
         if epoch > 0:
             emit_counters(
                 "churn",
@@ -267,28 +276,22 @@ def run_checked_churn(
 
     def _route_epoch(report: CheckedEpoch) -> None:
         before = sum(nodes[n].data4.total for n in node_ids)
-        for node_id in node_ids:
-            nodes[node_id].start_execution()
+        routable = {}
         for (source, destination), volume in flows:
             if volume <= 0 or source == destination:
                 continue
-            node = nodes[source]
-            assert node.comp is not None
-            entry = node.comp.routing.entry(destination)
+            comp = nodes[source].comp
+            assert comp is not None
+            entry = comp.routing.entry(destination)
             if entry is None:
                 report.unroutable_flows += 1
                 continue
-            simulator.schedule_local(
-                source,
-                0.0,
-                lambda n=node, d=destination, v=volume: n.originate_flow(d, v),
-                label="originate",
-            )
+            routable[(source, destination)] = volume
             report.routed_flows += 1
             # One per-flow transfer per transit hop on the LCP — the
             # payment count netting is measured against.
             report.per_flow_transfers += max(0, len(entry.path) - 2)
-        simulator.run_until_quiescent(max_events=max_events)
+        run_execution(simulator, nodes, routable, CHECKED_EVENT_BUDGET)
         report.payments_total = (
             sum(nodes[n].data4.total for n in node_ids) - before
         )
@@ -336,6 +339,7 @@ def run_checked_churn(
         pool=pool,
         initial=initial,
         ledger=ledger,
+        private_stats=private_stats,
     )
     current = graph
     for index, events in enumerate(schedule.epochs, start=1):
@@ -352,17 +356,37 @@ def run_checked_churn(
                 topology.remove_link(a, b)
             else:  # link-up
                 a, b = event.link  # type: ignore[misc]
-                topology.add_link(a, b, delay=_resolve_delay(link_delays, a, b))
+                topology.add_link(a, b, delay=link_delay(link_delays, a, b))
         run.graph = current
         run.epochs.append(construct(index, events, current))
     return run
 
 
-def _verify_mirror_agreement(nodes: Dict[NodeId, FaithfulRoutingNode]) -> None:
-    """Every live mirror's replayed digests equal its principal's own."""
+def verify_checked_network(
+    graph: ASGraph,
+    nodes: Mapping[NodeId, FaithfulRoutingNode],
+    flags: Sequence = (),
+    check_oracle: bool = True,
+) -> None:
+    """Assert a checked network converged correctly and consistently.
+
+    Three layers: the run raised no ``flags`` (pass
+    :attr:`CheckedChurnRun.all_flags`), every live mirror's replayed
+    digests equal its principal's own table digests (the BANK1/BANK2
+    comparison, without the bank), and — with ``check_oracle`` — every
+    node's tables equal the centralized routing oracle on ``graph``.
+
+    Raises
+    ------
+    ConvergenceError
+        On the first flag, digest disagreement, or oracle mismatch.
+    """
+    if flags:
+        raise ConvergenceError(
+            f"checked run raised {len(flags)} flag(s): {list(flags)[:3]!r}"
+        )
     for node_id in sorted(nodes, key=repr):
-        node = nodes[node_id]
-        for principal, mirror in node.mirrors.items():
+        for principal, mirror in nodes[node_id].mirrors.items():
             if mirror.comp is None:
                 continue
             principal_comp = nodes[principal].comp
@@ -372,9 +396,11 @@ def _verify_mirror_agreement(nodes: Dict[NodeId, FaithfulRoutingNode]) -> None:
                 or mirror.pricing_digest() != principal_comp.pricing_digest()
             ):
                 raise ConvergenceError(
-                    f"mirror of {principal!r} at {node_id!r} disagrees with "
-                    f"the principal's own tables after reconvergence"
+                    f"mirror of {principal!r} at {node_id!r} disagrees "
+                    f"with the principal's own tables"
                 )
+    if check_oracle:
+        verify_against_oracle(graph, nodes)
 
 
 __all__ = [
@@ -382,4 +408,5 @@ __all__ = [
     "CheckedChurnRun",
     "CheckedEpoch",
     "run_checked_churn",
+    "verify_checked_network",
 ]

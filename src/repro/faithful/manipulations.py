@@ -445,14 +445,11 @@ def run_deviation(
     """
     if (node is None) != (spec is None):
         raise MechanismError("a deviation needs both a node and a spec")
-    if spec is None:
-        factory = None
-    elif faithful:
-        factory = faithful_deviant_factory(spec, node)
-    else:
-        factory = plain_deviant_factory(spec, node)
     protocol = FaithfulFPSSProtocol if faithful else PlainFPSSProtocol
-    return protocol(graph, traffic, node_factory=factory).run()
+    if spec is None:
+        return protocol(graph, traffic).run()
+    make_factory = faithful_deviant_factory if faithful else plain_deviant_factory
+    return protocol(graph, traffic, node_factory=make_factory(spec, node)).run()
 
 
 def construction_deviations() -> Tuple[DeviationSpec, ...]:

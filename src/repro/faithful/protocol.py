@@ -10,9 +10,8 @@ replay kernel per principal (:mod:`repro.routing.kernel`) unless
 :class:`PlainFPSSProtocol` runs the original, trusting FPSS — no
 checkers, no bank examination, reported payments taken at face value —
 providing the baseline that shows *why* the extension is needed
-(experiment E5).  :func:`run_checked_construction` isolates the fully
-mirrored construction (no bank, no traffic) for the checker-scaling
-benchmarks and parity tests.
+(experiment E5).  Both are built and driven by the shared helpers of
+:mod:`repro.routing.convergence`.
 
 Utility model (Section 4.3 assumptions):
 
@@ -29,14 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..errors import ConvergenceError
 from ..obs.trace import emit_marker
-from ..routing.fpss import FPSSNode, install_key_space
+from ..routing.convergence import (
+    EVENT_BUDGET,
+    build_network,
+    run_execution,
+    run_phase,
+    run_plain_fpss,
+)
+from ..routing.fpss import FPSSNode
 from ..routing.graph import ASGraph, Cost, NodeId
-from ..routing.kernel import KernelStats, MirrorKernelPool
+from ..routing.kernel import MirrorKernelPool
 from ..sim.crypto import SigningAuthority
 from ..sim.simulator import Simulator
-from ..routing.convergence import topology_from_graph, verify_against_oracle
 from .audit import DetectionReport, Flag
 from .bank import BankNode
 from .node import BANK_ID, FaithfulRoutingNode
@@ -45,8 +49,11 @@ from .node import BANK_ID, FaithfulRoutingNode
 TrafficMatrix = Mapping[Tuple[NodeId, NodeId], float]
 
 #: Builds the node for one vertex; manipulation strategies substitute
-#: deviant subclasses for their target node here.
-FaithfulNodeFactory = Callable[[NodeId, Cost, SigningAuthority], FaithfulRoutingNode]
+#: deviant subclasses for their target node here.  Runs without a bank
+#: pass no signing authority.
+FaithfulNodeFactory = Callable[
+    [NodeId, Cost, Optional[SigningAuthority]], FaithfulRoutingNode
+]
 PlainNodeFactory = Callable[[NodeId, Cost], FPSSNode]
 
 
@@ -80,7 +87,8 @@ class FaithfulFPSSProtocol:
     traffic:
         Execution-phase traffic matrix.
     node_factory:
-        Optional substitution hook for deviant node subclasses.
+        Builds each node as ``node_factory(node_id, cost, signing)``;
+        deviant subclasses (or fault adapters) are substituted here.
     max_restarts:
         Restart budget per construction checkpoint before the run is
         declared non-progressing.
@@ -104,38 +112,27 @@ class FaithfulFPSSProtocol:
         self,
         graph: ASGraph,
         traffic: TrafficMatrix,
-        node_factory: Optional[FaithfulNodeFactory] = None,
+        node_factory: FaithfulNodeFactory = FaithfulRoutingNode,
         max_restarts: int = 2,
         epsilon: float = 0.01,
         no_progress_utility: float = -1000.0,
-        max_events: int = 2_000_000,
         link_delays=1.0,
         bank_honors_flags: bool = True,
-        node_adapters: Optional[Callable[[FaithfulRoutingNode], None]] = None,
         shared_checking: bool = True,
     ) -> None:
         graph.require_biconnected()
         self.graph = graph
         self.traffic = dict(traffic)
-        self.node_factory = node_factory or (
-            lambda node_id, cost, signing: FaithfulRoutingNode(
-                node_id, cost, signing
-            )
-        )
+        self.node_factory = node_factory
         self.max_restarts = max_restarts
         self.epsilon = epsilon
         self.no_progress_utility = no_progress_utility
-        self.max_events = max_events
         #: Constant, mapping, or callable per-link delay (asynchrony).
         self.link_delays = link_delays
         #: Ablation switch: when False, BANK1/BANK2 compare digests
         #: only and ignore checker flags (used to show the flags are a
         #: necessary ingredient, not redundancy).
         self.bank_honors_flags = bank_honors_flags
-        #: Optional hook applied to every node after construction,
-        #: e.g. installing failure adapters for the Section 5
-        #: experiments (omission faults on obedient nodes).
-        self.node_adapters = node_adapters
         self.shared_checking = shared_checking
         #: The run's shared-replay pool (None until :meth:`run`, or
         #: with ``shared_checking=False``); exposes dedup counters.
@@ -152,18 +149,11 @@ class FaithfulFPSSProtocol:
 
     def _build(self) -> Tuple[Simulator, Dict[NodeId, FaithfulRoutingNode], BankNode]:
         signing = SigningAuthority()
-        simulator = Simulator(
-            topology_from_graph(self.graph, delay=self.link_delays)
-        )
-        nodes: Dict[NodeId, FaithfulRoutingNode] = {}
         for node_id in self.graph.nodes:
             signing.register(node_id)
-            node = self.node_factory(node_id, self.graph.cost(node_id), signing)
-            if self.node_adapters is not None:
-                self.node_adapters(node)
-            nodes[node_id] = node
-            simulator.add_node(node)
-        keys = install_key_space(nodes)
+        simulator, nodes, keys = build_network(
+            self.graph, self.node_factory, signing, link_delays=self.link_delays
+        )
         self.mirror_pool = MirrorKernelPool(keys) if self.shared_checking else None
         for node in nodes.values():
             node.mirror_pool = self.mirror_pool
@@ -171,9 +161,6 @@ class FaithfulFPSSProtocol:
         bank = BankNode(signing)
         simulator.add_node(bank, well_known=True)
         return simulator, nodes, bank
-
-    def _quiesce(self, simulator: Simulator) -> int:
-        return simulator.run_until_quiescent(max_events=self.max_events)
 
     def _checker_map(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
         """Every neighbour of a node is a checker for that node."""
@@ -197,20 +184,12 @@ class FaithfulFPSSProtocol:
 
         # ---------------- first construction phase -------------------
         phase1_certified = False
-        for _attempt in range(self.max_restarts + 1):
-            emit_marker(
-                "protocol.phase",
-                sim_time=simulator.now,
-                phase="phase1",
-                attempt=_attempt,
+        for attempt in range(self.max_restarts + 1):
+            construction_events += run_phase(
+                simulator, nodes, "phase1", attempt=attempt
             )
-            for node_id in node_ids:
-                simulator.schedule_local(
-                    node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-                )
-            construction_events += self._quiesce(simulator)
             bank.request_reports("phase1", node_ids)
-            construction_events += self._quiesce(simulator)
+            construction_events += simulator.run_until_quiescent(EVENT_BUDGET)
             decision = bank.decide_phase1(node_ids)
             detection.record(decision)
             if decision.green_light:
@@ -232,26 +211,18 @@ class FaithfulFPSSProtocol:
 
         # ---------------- second construction phase ------------------
         phase2_certified = False
-        for _attempt in range(self.max_restarts + 1):
-            emit_marker(
-                "protocol.phase",
-                sim_time=simulator.now,
-                phase="phase2",
-                attempt=_attempt,
-            )
+        for attempt in range(self.max_restarts + 1):
             if self.mirror_pool is not None:
                 # A restart replays the phase from scratch; restarted
                 # mirrors must never attach to a consumed op log.
                 self.mirror_pool.new_epoch()
                 emit_marker("mirror.epoch", sim_time=simulator.now)
-            for node_id in node_ids:
-                simulator.schedule_local(
-                    node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-                )
-            construction_events += self._quiesce(simulator)
+            construction_events += run_phase(
+                simulator, nodes, "phase2", attempt=attempt
+            )
 
             bank.request_reports("bank1", node_ids)
-            construction_events += self._quiesce(simulator)
+            construction_events += simulator.run_until_quiescent(EVENT_BUDGET)
             decision1 = bank.decide_bank1(
                 checker_map, honor_flags=self.bank_honors_flags
             )
@@ -260,7 +231,7 @@ class FaithfulFPSSProtocol:
                 continue
 
             bank.request_reports("bank2", node_ids)
-            construction_events += self._quiesce(simulator)
+            construction_events += simulator.run_until_quiescent(EVENT_BUDGET)
             decision2 = bank.decide_bank2(
                 checker_map, honor_flags=self.bank_honors_flags
             )
@@ -275,25 +246,9 @@ class FaithfulFPSSProtocol:
             )
 
         # ---------------- execution phase ----------------------------
-        emit_marker(
-            "protocol.phase", sim_time=simulator.now, phase="execution"
-        )
-        for node_id in node_ids:
-            nodes[node_id].start_execution()
-        for (source, destination), volume in sorted(self.traffic.items(), key=repr):
-            if volume <= 0:
-                continue
-            node = nodes[source]
-            simulator.schedule_local(
-                source,
-                0.0,
-                lambda n=node, d=destination, v=volume: n.originate_flow(d, v),
-                label="originate",
-            )
-        self._quiesce(simulator)
-
+        run_execution(simulator, nodes, self.traffic)
         bank.request_reports("execution", node_ids)
-        self._quiesce(simulator)
+        simulator.run_until_quiescent(EVENT_BUDGET)
         records, settlement_flags = bank.settle(
             node_ids,
             declared_costs={n: nodes[n].comp.costs.cost(n) for n in node_ids},
@@ -362,62 +317,22 @@ class PlainFPSSProtocol:
         self,
         graph: ASGraph,
         traffic: TrafficMatrix,
-        node_factory: Optional[PlainNodeFactory] = None,
-        max_events: int = 2_000_000,
+        node_factory: PlainNodeFactory = FPSSNode,
         link_delays=1.0,
     ) -> None:
         graph.require_biconnected()
         self.graph = graph
         self.traffic = dict(traffic)
-        self.node_factory = node_factory or (
-            lambda node_id, cost: FPSSNode(node_id, cost)
-        )
-        self.max_events = max_events
+        self.node_factory = node_factory
         self.link_delays = link_delays
 
     def run(self) -> RunResult:
         """Construction to quiescence, traffic, trusting settlement."""
-        simulator = Simulator(
-            topology_from_graph(self.graph, delay=self.link_delays)
+        simulator, nodes, stats = run_plain_fpss(
+            self.graph, self.node_factory, self.link_delays
         )
-        nodes: Dict[NodeId, FPSSNode] = {}
-        for node_id in self.graph.nodes:
-            node = self.node_factory(node_id, self.graph.cost(node_id))
-            nodes[node_id] = node
-            simulator.add_node(node)
-        install_key_space(nodes)
         node_ids = tuple(sorted(nodes, key=repr))
-
-        construction_events = 0
-        emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-            )
-        construction_events += simulator.run_until_quiescent(self.max_events)
-        emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
-        for node_id in node_ids:
-            simulator.schedule_local(
-                node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-            )
-        construction_events += simulator.run_until_quiescent(self.max_events)
-
-        emit_marker(
-            "protocol.phase", sim_time=simulator.now, phase="execution"
-        )
-        for node_id in node_ids:
-            nodes[node_id].start_execution()
-        for (source, destination), volume in sorted(self.traffic.items(), key=repr):
-            if volume <= 0:
-                continue
-            node = nodes[source]
-            simulator.schedule_local(
-                source,
-                0.0,
-                lambda n=node, d=destination, v=volume: n.originate_flow(d, v),
-                label="originate",
-            )
-        simulator.run_until_quiescent(self.max_events)
+        run_execution(simulator, nodes, self.traffic)
 
         # Trusting settlement: reported DATA4 is simply executed.
         received: Dict[NodeId, float] = {n: 0.0 for n in node_ids}
@@ -440,158 +355,8 @@ class PlainFPSSProtocol:
             penalties={n: 0.0 for n in node_ids},
             incurred={n: nodes[n].incurred_cost for n in node_ids},
             metrics=simulator.metrics.summary(),
-            construction_events=construction_events,
+            construction_events=stats.total_events,
         )
-
-
-@dataclass
-class CheckedConstruction:
-    """Result of a fully mirrored construction run (no bank, no traffic).
-
-    The unit the checker-scaling benchmarks measure: every node both
-    computes and checks all neighbours, and the run ends at phase-2
-    quiescence with the quiescence-time mirror flags collected.
-    """
-
-    simulator: Simulator
-    nodes: Dict[NodeId, FaithfulRoutingNode]
-    phase1_events: int
-    phase2_events: int
-    flags: list
-    #: Aggregated shared-replay counters (zeroed when sharing is off).
-    kernel_stats: KernelStats
-
-    @property
-    def metrics(self) -> Dict[str, int]:
-        """The simulator's aggregate work counters."""
-        return self.simulator.metrics.summary()
-
-
-def run_checked_construction(
-    graph: ASGraph,
-    link_delays=1.0,
-    batch_delivery: bool = True,
-    shared_checking: bool = True,
-    max_events: int = 8_000_000,
-    node_factory: Optional[FaithfulNodeFactory] = None,
-) -> CheckedConstruction:
-    """Drive both construction phases on a fully mirrored network.
-
-    Every node is a :class:`FaithfulRoutingNode` checking all of its
-    neighbours; there is no bank and no execution phase, so the result
-    isolates exactly the checked-construction cost the shared replay
-    kernel deduplicates.  ``shared_checking`` toggles the
-    :class:`~repro.routing.kernel.MirrorKernelPool` (True) against the
-    per-neighbour reference replay (False); both produce bit-identical
-    flags and digests.  Returns the quiesced network plus the
-    quiescence-time checkpoint flags of every mirror (empty for an
-    obedient network).
-    """
-    graph.require_biconnected()
-    simulator = Simulator(
-        topology_from_graph(graph, delay=link_delays),
-        batch_delivery=batch_delivery,
-    )
-    factory = node_factory or (
-        lambda node_id, cost, signing: FaithfulRoutingNode(node_id, cost, signing)
-    )
-    nodes: Dict[NodeId, FaithfulRoutingNode] = {}
-    for node_id in graph.nodes:
-        node = factory(node_id, graph.cost(node_id), None)
-        nodes[node_id] = node
-        simulator.add_node(node)
-    keys = install_key_space(nodes)
-    pool = MirrorKernelPool(keys) if shared_checking else None
-    for node in nodes.values():
-        node.mirror_pool = pool
-    node_ids = tuple(sorted(nodes, key=repr))
-
-    emit_marker("protocol.phase", sim_time=simulator.now, phase="phase1")
-    for node_id in node_ids:
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase1, label="phase1"
-        )
-    phase1_events = simulator.run_until_quiescent(max_events=max_events)
-
-    for node_id in node_ids:
-        nodes[node_id].prepare_checking(
-            {
-                neighbor: graph.neighbors(neighbor)
-                for neighbor in graph.neighbors(node_id)
-            }
-        )
-    if pool is not None:
-        pool.new_epoch()
-        emit_marker("mirror.epoch", sim_time=simulator.now)
-    emit_marker("protocol.phase", sim_time=simulator.now, phase="phase2")
-    for node_id in node_ids:
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase2, label="phase2"
-        )
-    phase2_events = simulator.run_until_quiescent(max_events=max_events)
-
-    flags: list = []
-    kernel_stats = pool.collected_stats() if pool is not None else KernelStats()
-    for node_id in node_ids:
-        for _principal, mirror in sorted(
-            nodes[node_id].mirrors.items(), key=lambda kv: repr(kv[0])
-        ):
-            if mirror.comp is None:
-                continue
-            flags.extend(mirror.checkpoint_flags())
-            # Forked and seed-mismatched mirrors replay privately;
-            # their work lives on their own kernels, not the pool.
-            private = mirror.private_kernel_stats()
-            if private is not None:
-                kernel_stats.merge(private)
-    return CheckedConstruction(
-        simulator=simulator,
-        nodes=dict(nodes),
-        phase1_events=phase1_events,
-        phase2_events=phase2_events,
-        flags=flags,
-        kernel_stats=kernel_stats,
-    )
-
-
-def verify_checked_network(
-    graph: ASGraph, checked: CheckedConstruction, check_oracle: bool = True
-) -> None:
-    """Assert a checked run converged correctly and consistently.
-
-    Three layers: no mirror raised a flag at quiescence, every mirror's
-    replayed digests equal its principal's own table digests (the
-    BANK1/BANK2 comparison, without the bank), and — with
-    ``check_oracle`` — every node's tables equal the centralized
-    routing oracle.
-
-    Raises
-    ------
-    ConvergenceError
-        On the first flag, digest disagreement, or oracle mismatch.
-    """
-    if checked.flags:
-        raise ConvergenceError(
-            f"checked run raised {len(checked.flags)} flag(s): "
-            f"{checked.flags[:3]!r}"
-        )
-    nodes = checked.nodes
-    for node_id, node in nodes.items():
-        for principal, mirror in node.mirrors.items():
-            if mirror.comp is None:
-                continue
-            principal_comp = nodes[principal].comp
-            assert principal_comp is not None
-            if (
-                mirror.routing_digest() != principal_comp.routing_digest()
-                or mirror.pricing_digest() != principal_comp.pricing_digest()
-            ):
-                raise ConvergenceError(
-                    f"mirror of {principal!r} at {node_id!r} disagrees "
-                    f"with the principal's own tables"
-                )
-    if check_oracle:
-        verify_against_oracle(graph, nodes)
 
 
 def collect_construction_flags(

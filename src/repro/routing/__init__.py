@@ -8,12 +8,10 @@ extension), and the distributed, trusting FPSS protocol.
 
 from .convergence import (
     ConvergenceStats,
-    build_plain_network,
-    measure_convergence,
+    build_network,
     run_construction_phases,
     run_plain_fpss,
     topology_from_graph,
-    verify_against_kernel,
     verify_against_oracle,
 )
 from .kernel import (
@@ -105,7 +103,6 @@ __all__ = [
     "ReplayKernel",
     "SharedKernel",
     "kernel_fixed_point",
-    "verify_against_kernel",
     "KIND_COST_DECL",
     "KIND_PRICE_UPDATE",
     "KIND_RT_UPDATE",
@@ -121,7 +118,7 @@ __all__ = [
     "TransitCostTable",
     "all_pairs_lcp",
     "all_pairs_payments",
-    "build_plain_network",
+    "build_network",
     "decode_avoid_vector",
     "decode_route_vector",
     "economics_under_traffic",
@@ -132,7 +129,6 @@ __all__ = [
     "lcp_cost",
     "lcp_tree",
     "lowest_cost_path",
-    "measure_convergence",
     "route_payments",
     "run_construction_phases",
     "run_plain_fpss",

@@ -1,85 +1,147 @@
-"""Helpers to run the plain FPSS protocol to convergence.
+"""How every protocol run is built and driven.
 
-Builds a simulator from an :class:`~repro.routing.graph.ASGraph` —
-with homogeneous or per-link (``link_delays``) delays, and batched or
-per-message delivery — drives the two construction phases to
-quiescence, and cross-checks the distributed fixed point against the
-centralized oracle.  The default configuration (batched delivery plus
-the incremental relaxations of :mod:`repro.routing.fpss`) is what the
-convergence sweep probe and the benchmarks measure; the knobs exist so
-the equivalence tests can run the same graph in every mode and compare
+One builder (:func:`build_network`) turns an :class:`~repro.routing.
+graph.ASGraph` into a simulator holding one node per vertex, all on one
+shared key space; one driver (:func:`run_phase`) starts a phase on
+every node and runs to quiescence; one helper (:func:`run_execution`)
+enters the execution phase and originates the traffic.  The plain run
+(:func:`run_plain_fpss`), the dynamic topology engine, both mechanism
+protocols and the checked churn runner are all assembled from these,
+so they share one scheduling order — which reaches the event sequence
+and with it every digest.  The module also cross-checks a converged
+fixed point against the centralized oracle.
+
+Link delays are homogeneous or per link (:func:`link_delay`), and
+delivery is batched or per message; the knobs exist so the
+equivalence tests can run the same graph in every mode and compare
 fixed points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Mapping, Tuple
 
 from ..errors import ConvergenceError
+from ..obs.trace import emit_marker
 from ..sim.network import NetworkTopology
 from ..sim.simulator import Simulator
 from .engine import engine_for
-from .fpss import FPSSNode, install_key_space, shared_key_space
+from .fpss import FPSSNode, install_key_space
 from .graph import ASGraph, Cost, NodeId
-from .kernel import kernel_fixed_point
+from .kernel import KeySpace
 from .vcg_payments import route_payments
+
+#: Event budget per quiescence before a
+#: :class:`~repro.errors.ConvergenceError` is raised.
+EVENT_BUDGET = 2_000_000
+#: The budget of a checked churn run, where every node also replays
+#: each of its neighbours.
+CHECKED_EVENT_BUDGET = 8_000_000
+
+
+def link_delay(delays, a: NodeId, b: NodeId) -> float:
+    """The delay of link ``a``-``b`` under a delay model.
+
+    ``delays`` is a constant, a mapping ``frozenset({a, b}) -> delay``,
+    or a callable ``delays(a, b)``.  A mapping without an entry for the
+    link gives 1.0: links that churn adds are often not in it.
+    Heterogeneous delays make the network asynchronous across links;
+    the faithful extension only relies on per-link FIFO, which any
+    fixed per-link delay preserves.
+    """
+    if callable(delays):
+        return float(delays(a, b))
+    if isinstance(delays, Mapping):
+        return float(delays.get(frozenset((a, b)), 1.0))
+    return float(delays)
 
 
 def topology_from_graph(graph: ASGraph, delay=1.0) -> NetworkTopology:
-    """A simulator topology mirroring the AS graph's links.
-
-    Parameters
-    ----------
-    delay:
-        Either a constant, a mapping ``frozenset({a, b}) -> delay``, or
-        a callable ``delay(a, b) -> float``.  Heterogeneous delays make
-        the network asynchronous across links; the faithful extension
-        only relies on per-link FIFO, which any fixed per-link delay
-        preserves.
-    """
+    """A simulator topology mirroring the AS graph's links."""
     topology = NetworkTopology()
     for node in graph.nodes:
         topology.add_node(node)
     for a, b in graph.edges:
-        if callable(delay):
-            link_delay = delay(a, b)
-        elif isinstance(delay, dict):
-            link_delay = delay[frozenset((a, b))]
-        else:
-            link_delay = delay
-        topology.add_link(a, b, delay=link_delay)
+        topology.add_link(a, b, delay=link_delay(delay, a, b))
     return topology
 
 
-def build_plain_network(
+def build_network(
     graph: ASGraph,
-    node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
+    node_factory: Callable[..., FPSSNode] = FPSSNode,
+    *factory_args,
     link_delays=1.0,
     batch_delivery: bool = True,
-) -> Tuple[Simulator, Dict[NodeId, FPSSNode]]:
-    """A simulator populated with (possibly customised) FPSS nodes.
+) -> Tuple[Simulator, Dict[NodeId, FPSSNode], KeySpace]:
+    """A simulator populated with one node per vertex, in graph order.
 
-    ``node_factory`` lets callers substitute manipulation subclasses
-    for chosen nodes; the default builds obedient :class:`FPSSNode`.
-    ``link_delays`` is forwarded to :func:`topology_from_graph`, so
-    heterogeneous (per-link) delays model asynchrony.
+    Each node is ``node_factory(node_id, cost, *factory_args)``; a
+    factory is where manipulation subclasses are substituted for
+    chosen nodes.  ``link_delays`` is a :func:`link_delay` model.
     ``batch_delivery=False`` turns off the simulator's same-instant
     delivery coalescing (one recomputation per message instead of one
-    per batch; same fixed point either way).
+    per batch; same fixed point either way).  Returns the simulator,
+    the node map and the key space every node shares.
     """
-    factory = node_factory or (lambda node_id, cost: FPSSNode(node_id, cost))
     simulator = Simulator(
         topology_from_graph(graph, delay=link_delays),
         batch_delivery=batch_delivery,
     )
     nodes: Dict[NodeId, FPSSNode] = {}
     for node_id in graph.nodes:
-        node = factory(node_id, graph.cost(node_id))
+        node = node_factory(node_id, graph.cost(node_id), *factory_args)
         nodes[node_id] = node
         simulator.add_node(node)
-    install_key_space(nodes)
-    return simulator, nodes
+    return simulator, nodes, install_key_space(nodes)
+
+
+def run_phase(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, FPSSNode],
+    phase: str,
+    budget: int = EVENT_BUDGET,
+    **marker,
+) -> int:
+    """Start ``phase`` on every node, in repr order, then quiesce.
+
+    Emits a ``protocol.phase`` marker (``marker`` adds fields such as
+    the attempt or epoch), schedules each node's ``start_<phase>`` at
+    the current instant, and returns the events processed.
+    """
+    emit_marker("protocol.phase", sim_time=simulator.now, phase=phase, **marker)
+    for node_id in sorted(nodes, key=repr):
+        simulator.schedule_local(
+            node_id, 0.0, getattr(nodes[node_id], f"start_{phase}"), label=phase
+        )
+    return simulator.run_until_quiescent(budget)
+
+
+def run_execution(
+    simulator: Simulator,
+    nodes: Mapping[NodeId, FPSSNode],
+    traffic: Mapping[Tuple[NodeId, NodeId], float],
+    budget: int = EVENT_BUDGET,
+) -> int:
+    """Enter the execution phase and route ``traffic`` to quiescence.
+
+    Every node enters the phase, then each positive-volume flow is
+    originated at its source, in repr order of ``(pair, volume)``.
+    Returns the events processed.
+    """
+    emit_marker("protocol.phase", sim_time=simulator.now, phase="execution")
+    for node_id in sorted(nodes, key=repr):
+        nodes[node_id].start_execution()
+    for (source, destination), volume in sorted(traffic.items(), key=repr):
+        if volume > 0:
+            simulator.schedule_local(
+                source,
+                0.0,
+                partial(nodes[source].originate_flow, destination, volume),
+                label="originate",
+            )
+    return simulator.run_until_quiescent(budget)
 
 
 @dataclass
@@ -98,23 +160,11 @@ class ConvergenceStats:
 
 
 def run_construction_phases(
-    simulator: Simulator,
-    nodes: Mapping[NodeId, FPSSNode],
-    max_events: int = 2_000_000,
+    simulator: Simulator, nodes: Mapping[NodeId, FPSSNode]
 ) -> ConvergenceStats:
     """Drive phase 1 then phase 2 to quiescence."""
-    for node_id in sorted(nodes, key=repr):
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase1, label="start-phase1"
-        )
-    phase1_events = simulator.run_until_quiescent(max_events=max_events)
-
-    for node_id in sorted(nodes, key=repr):
-        simulator.schedule_local(
-            node_id, 0.0, nodes[node_id].start_phase2, label="start-phase2"
-        )
-    phase2_events = simulator.run_until_quiescent(max_events=max_events)
-
+    phase1_events = run_phase(simulator, nodes, "phase1")
+    phase2_events = run_phase(simulator, nodes, "phase2")
     return ConvergenceStats(
         phase1_events=phase1_events,
         phase2_events=phase2_events,
@@ -125,75 +175,25 @@ def run_construction_phases(
 
 def run_plain_fpss(
     graph: ASGraph,
-    node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
+    node_factory: Callable[[NodeId, Cost], FPSSNode] = FPSSNode,
     link_delays=1.0,
-    max_events: int = 2_000_000,
     batch_delivery: bool = True,
 ) -> Tuple[Simulator, Dict[NodeId, FPSSNode], ConvergenceStats]:
     """Build, run, and return a converged plain-FPSS network.
 
-    Parameters
-    ----------
-    graph:
-        The AS graph (true transit costs; biconnected for pricing).
-    node_factory:
-        Optional ``(node_id, cost) -> FPSSNode`` substitution hook for
-        manipulation subclasses; obedient :class:`FPSSNode` otherwise.
-    link_delays:
-        Constant, ``frozenset({a, b}) -> delay`` mapping, or callable
-        ``delay(a, b)`` giving per-link delays; heterogeneous values
-        make the run asynchronous across links.
-    max_events:
-        Event budget per construction phase before a
-        :class:`~repro.errors.ConvergenceError` is raised.
-    batch_delivery:
-        Coalesce same-instant deliveries (the incremental engine's
-        default); ``False`` restores per-message delivery events.
-
-    Returns
-    -------
-    ``(simulator, nodes, stats)`` — the quiesced simulator, the node
-    map, and the per-phase :class:`ConvergenceStats` work counters.
+    ``node_factory``, ``link_delays`` and ``batch_delivery`` are those
+    of :func:`build_network`.  Returns the quiesced simulator, the
+    node map, and the per-phase :class:`ConvergenceStats` work
+    counters; nothing is shared between calls, so sweep workers may
+    run many scenarios back to back.
     """
-    simulator, nodes = build_plain_network(
+    simulator, nodes, _keys = build_network(
         graph,
-        node_factory=node_factory,
+        node_factory,
         link_delays=link_delays,
         batch_delivery=batch_delivery,
     )
-    stats = run_construction_phases(simulator, nodes, max_events=max_events)
-    return simulator, nodes, stats
-
-
-def measure_convergence(
-    graph: ASGraph,
-    link_delays=1.0,
-    verify: bool = True,
-    check_prices: bool = False,
-    max_events: int = 2_000_000,
-    batch_delivery: bool = True,
-) -> ConvergenceStats:
-    """One self-contained convergence measurement for a scenario.
-
-    Builds a fresh simulator, drives both construction phases to
-    quiescence (under ``link_delays``, forwarded to
-    :func:`run_plain_fpss` together with ``max_events`` and
-    ``batch_delivery``), optionally cross-checks the fixed point
-    against the centralized oracle (``verify`` — routes always,
-    ``check_prices`` adds the VCG pricing tables), and returns the
-    work counters.  Nothing is shared between calls, so this is safe
-    to invoke from sweep workers (one process may run many scenarios
-    back to back).
-    """
-    _, nodes, stats = run_plain_fpss(
-        graph,
-        link_delays=link_delays,
-        max_events=max_events,
-        batch_delivery=batch_delivery,
-    )
-    if verify:
-        verify_against_oracle(graph, nodes, check_prices=check_prices)
-    return stats
+    return simulator, nodes, run_construction_phases(simulator, nodes)
 
 
 def verify_against_oracle(
@@ -240,36 +240,3 @@ def verify_against_oracle(
                         f"price {source!r}->{destination!r} via {transit!r}: "
                         f"protocol said {actual}, oracle said {expected}"
                     )
-
-
-def verify_against_kernel(graph: ASGraph, nodes: Mapping[NodeId, FPSSNode]) -> None:
-    """Assert the converged tables equal the pure-kernel fixed point.
-
-    The second, protocol-independent oracle: :func:`~repro.routing.
-    kernel.kernel_fixed_point` iterates the same replay kernel in
-    synchronous rounds with no simulator, so agreement here checks the
-    *distribution* machinery (batching, delta wire format, delivery
-    order) against the bare state machine — digest-exact, DATA3* tags
-    included, which the Dijkstra oracle of :func:`verify_against_oracle`
-    cannot see.
-
-    Raises
-    ------
-    ConvergenceError
-        On the first digest disagreement.
-    """
-    kernels = kernel_fixed_point(graph, keys=shared_key_space(nodes))
-    for node_id, kernel in kernels.items():
-        comp = nodes[node_id].comp
-        if comp is None:
-            raise ConvergenceError(f"{node_id!r} never started construction")
-        if comp.routing_digest() != kernel.routing_digest():
-            raise ConvergenceError(
-                f"{node_id!r}: protocol DATA2 digest differs from the "
-                f"kernel fixed point"
-            )
-        if comp.pricing_digest() != kernel.pricing_digest():
-            raise ConvergenceError(
-                f"{node_id!r}: protocol DATA3* digest differs from the "
-                f"kernel fixed point"
-            )

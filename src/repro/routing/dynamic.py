@@ -41,8 +41,10 @@ from ..obs.trace import emit_counters, emit_marker
 from ..sim.churn import ChurnEvent, ChurnSchedule, apply_churn_event
 from ..sim.simulator import Simulator
 from .convergence import (
+    EVENT_BUDGET,
     ConvergenceStats,
-    build_plain_network,
+    build_network,
+    link_delay,
     run_construction_phases,
 )
 from .fpss import FPSSNode, shared_key_space
@@ -73,9 +75,11 @@ def verify_epoch_equivalence(
     Digest-exact across all three tables: DATA1 (so departed nodes'
     declarations are retracted everywhere, not stale), DATA2 (so
     unreachable destinations are withdrawn, not retained), and DATA3*
-    (prices *and* identity tags).  This is strictly stronger than
-    :func:`~repro.routing.convergence.verify_against_kernel`, which
-    only compares DATA2/DATA3*.
+    (prices *and* identity tags).  On a static run it is the
+    protocol-independent oracle for the distribution machinery
+    (batching, delta wire format, delivery order): the fixed point
+    iterates the bare replay kernel in synchronous rounds with no
+    simulator.
 
     Raises
     ------
@@ -162,27 +166,22 @@ class DynamicTopologyEngine:
     def __init__(
         self,
         graph: ASGraph,
-        node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
+        node_factory: Callable[[NodeId, Cost], FPSSNode] = FPSSNode,
         link_delays=1.0,
         batch_delivery: bool = True,
         verify: bool = True,
-        max_events: int = 2_000_000,
     ) -> None:
         self.graph = graph
         self.verify = verify
-        self.max_events = max_events
         self._link_delays = link_delays
-        self._factory = node_factory or (
-            lambda node_id, cost: FPSSNode(node_id, cost)
-        )
-        self.simulator, self.nodes = build_plain_network(
+        self._factory = node_factory
+        #: ``key_space`` is the run's key space; joiners append to it.
+        self.simulator, self.nodes, self.key_space = build_network(
             graph,
-            node_factory=node_factory,
+            node_factory,
             link_delays=link_delays,
             batch_delivery=batch_delivery,
         )
-        #: The run's key space; joiners append to it.
-        self.key_space = shared_key_space(self.nodes)
         self.active: Set[NodeId] = set(graph.nodes)
         self.epoch = 0
         self.reports: List[EpochReport] = []
@@ -197,9 +196,7 @@ class DynamicTopologyEngine:
 
     def converge(self) -> ConvergenceStats:
         """Run both construction phases on the initial graph (epoch 0)."""
-        self.initial_stats = run_construction_phases(
-            self.simulator, self.nodes, max_events=self.max_events
-        )
+        self.initial_stats = run_construction_phases(self.simulator, self.nodes)
         self.initial_messages = self.simulator.metrics.total_messages
         if self.verify:
             self.verify_equivalence()
@@ -218,7 +215,7 @@ class DynamicTopologyEngine:
         messages_before = self.simulator.metrics.total_messages
         time_before = self.simulator.now
         self._kick()
-        processed = self.simulator.run_until_quiescent(max_events=self.max_events)
+        processed = self.simulator.run_until_quiescent(EVENT_BUDGET)
         if self.verify:
             self.verify_equivalence()
         report = EpochReport(
@@ -296,15 +293,6 @@ class DynamicTopologyEngine:
     def _sorted_active(self) -> List[NodeId]:
         return sorted(self.active, key=repr)
 
-    def _delay_for(self, a: NodeId, b: NodeId) -> float:
-        delays = self._link_delays
-        if callable(delays):
-            return delays(a, b)
-        if isinstance(delays, dict):
-            # New links may have no configured delay; default to unit.
-            return delays.get(frozenset((a, b)), 1.0)
-        return float(delays)
-
     def _comp(self, node_id: NodeId):
         """The node's live kernel, or ``None`` before its join kick.
 
@@ -339,7 +327,7 @@ class DynamicTopologyEngine:
                     comp.detach_neighbor(peer)
         elif event.kind == "link-up":
             a, b = event.link  # type: ignore[misc]
-            topology.add_link(a, b, delay=self._delay_for(a, b))
+            topology.add_link(a, b, delay=link_delay(self._link_delays, a, b))
             for end, peer in ((a, b), (b, a)):
                 comp = self._comp(end)
                 if comp is not None:
@@ -372,7 +360,9 @@ class DynamicTopologyEngine:
             peers = []
             for pair in event.links:
                 peer = pair[1] if pair[0] == node_id else pair[0]
-                topology.add_link(node_id, peer, delay=self._delay_for(node_id, peer))
+                topology.add_link(
+                    node_id, peer, delay=link_delay(self._link_delays, node_id, peer)
+                )
                 peers.append(peer)
             for member in self._sorted_active():
                 comp = self._comp(member)
@@ -492,7 +482,7 @@ class DynamicTopologyEngine:
                 partial(originate, origin, destination, volume),
                 label=f"churn-flow:->{destination}",
             )
-        self.simulator.run_until_quiescent(max_events=self.max_events)
+        self.simulator.run_until_quiescent(EVENT_BUDGET)
         payments = sum(
             self.nodes[node_id].data4.total - before[node_id]
             for node_id in self._sorted_active()
@@ -510,11 +500,10 @@ def run_dynamic_fpss(
     graph: ASGraph,
     schedule: ChurnSchedule,
     traffic: Optional[object] = None,
-    node_factory: Optional[Callable[[NodeId, Cost], FPSSNode]] = None,
+    node_factory: Callable[[NodeId, Cost], FPSSNode] = FPSSNode,
     link_delays=1.0,
     batch_delivery: bool = True,
     verify: bool = True,
-    max_events: int = 2_000_000,
 ) -> ChurnRunResult:
     """Run a whole churn scenario: converge, then every epoch + traffic."""
     engine = DynamicTopologyEngine(
@@ -523,6 +512,5 @@ def run_dynamic_fpss(
         link_delays=link_delays,
         batch_delivery=batch_delivery,
         verify=verify,
-        max_events=max_events,
     )
     return engine.run(schedule, traffic=traffic)

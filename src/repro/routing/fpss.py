@@ -728,7 +728,8 @@ class FPSSNode(ProtocolNode):
 class FullRecomputeFPSSNode(FPSSNode):
     """Reference FPSS node relaxing by full-table rescan every time.
 
-    Combined with ``Simulator(batch_delivery=False)`` this reproduces
+    Run with ``batch_delivery=False`` (:func:`~repro.routing.
+    convergence.run_plain_fpss`) this reproduces
     the pre-incremental engine exactly (one whole-table recomputation
     per received update) — the "before" leg of the convergence
     benchmarks and the protocol-level equivalence tests.

@@ -1887,7 +1887,7 @@ def kernel_fixed_point(
     relaxation is unique and the tie-breaks deterministic, the
     resulting tables — and hence digests — are identical to any
     asynchronous protocol execution on the same graph, which is what
-    :func:`~repro.routing.convergence.verify_against_kernel` exploits.
+    :func:`~repro.routing.dynamic.verify_epoch_equivalence` exploits.
 
     ``kernel_cls`` substitutes a drop-in kernel implementation (the
     columnar/dict equivalence suite drives both

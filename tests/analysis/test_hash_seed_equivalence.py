@@ -38,7 +38,7 @@ import random
 import sys
 import tempfile
 
-from repro.faithful.protocol import run_checked_construction
+from repro.faithful.epochs import run_checked_churn
 from repro.routing.kernel import kernel_fixed_point
 from repro.workloads import random_biconnected_graph
 from repro.experiments import (
@@ -53,7 +53,7 @@ out = {"hash_seed": os.environ.get("PYTHONHASHSEED", "")}
 
 # -- 16-node checked protocol construction (string node ids) --------------
 graph = random_biconnected_graph(16, random.Random(1))
-construction = run_checked_construction(graph)
+construction = run_checked_churn(graph)
 nodes = construction.nodes
 out["node_digests"] = {
     repr(node_id): node.comp.full_digest()
@@ -64,7 +64,7 @@ out["mirror_digests"] = {
     for checker_id, node in sorted(nodes.items(), key=repr)
     for principal_id, mirror in sorted(node.mirrors.items(), key=repr)
 }
-out["flags"] = sorted(repr(flag) for flag in construction.flags)
+out["flags"] = sorted(repr(flag) for flag in construction.all_flags)
 
 # -- synchronous pure-kernel oracle ---------------------------------------
 oracle = kernel_fixed_point(graph)

@@ -54,10 +54,20 @@ def test_strict_path_gets_all_rules():
     assert "unordered-iter" in rules_at("s = {1, 2}\nfor x in s:\n    pass\n")
 
 
-def test_non_canonical_module_skips_unordered_iter():
+@pytest.mark.parametrize(
+    "canonical",
+    [
+        KERNEL_PATH,
+        "/x/repro/routing/convergence.py",
+        "/x/repro/routing/dynamic.py",
+        "/x/repro/faithful/protocol.py",
+        "/x/repro/faithful/epochs.py",
+    ],
+)
+def test_non_canonical_module_skips_unordered_iter(canonical):
     src = "s = {1, 2}\nfor x in s:\n    pass\n"
     assert rules_at(src, REPORT_PATH) == []
-    assert rules_at(src, KERNEL_PATH) == ["unordered-iter"]
+    assert rules_at(src, canonical) == ["unordered-iter"]
 
 
 # ---------------------------------------------------------------------------

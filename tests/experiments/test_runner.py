@@ -78,7 +78,7 @@ class TestConvergenceProbe:
                 link_delay_spread=0.8,
             )
         )
-        # measure_convergence verifies against the oracle internally;
+        # The convergence probe verifies routes against the oracle;
         # ok=True means the asynchronous run reached the same fixed point.
         assert result.ok
 

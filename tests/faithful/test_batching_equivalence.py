@@ -14,6 +14,7 @@ import pytest
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     FaithfulFPSSProtocol,
+    FaithfulRoutingNode,
     construction_deviations,
     faithful_deviant_factory,
 )
@@ -22,7 +23,9 @@ from repro.sim.simulator import Simulator
 from repro.workloads import uniform_all_pairs
 
 
-def run_protocol(graph, traffic, batch_delivery, node_factory=None):
+def run_protocol(
+    graph, traffic, batch_delivery, node_factory=FaithfulRoutingNode
+):
     """One faithful run with the simulator's delivery mode forced."""
     protocol = FaithfulFPSSProtocol(graph, traffic, node_factory=node_factory)
     original_build = protocol._build

@@ -153,6 +153,41 @@ class TestMissedEpochBump:
         )
 
 
+def rows_ingested(graph, shared):
+    """Replay rows of one checked construction on ``graph``."""
+    run = run_checked_churn(graph, shared_checking=shared)
+    return run.kernel_stats().rows_ingested
+
+
+class TestKernelStatsAccounting:
+    """kernel_stats() counts every mirror kernel exactly once: pooled
+    shared kernels and private per-neighbour ones, in every epoch."""
+
+    @pytest.mark.parametrize("shared, rows", [(False, 892), (True, 368)])
+    def test_checked_construction_on_figure1(self, shared, rows):
+        assert rows_ingested(figure1_graph(), shared) == rows
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_epochs_add_up_across_dropped_mirrors(self, shared):
+        # Each epoch re-runs the construction from scratch, so its
+        # replay work is that of a fresh construction on its graph.
+        # The A-C mirrors of epoch 1 are dropped in epoch 2 and still
+        # count.
+        graph = figure1_graph()
+        run = run_checked_churn(graph, link_schedule(), shared_checking=shared)
+        graphs = [graph] + [report.graph for report in run.epochs]
+        assert run.kernel_stats().rows_ingested == sum(
+            rows_ingested(g, shared) for g in graphs
+        )
+
+    def test_missed_bump_counts_the_private_fallback(self):
+        graph = figure1_graph()
+        run = run_checked_churn(graph, cost_schedule(2), epoch_bump=False)
+        assert run.kernel_stats().rows_ingested == rows_ingested(
+            graph, True
+        ) + sum(rows_ingested(report.graph, False) for report in run.epochs)
+
+
 #: Deviations whose mixin misbehaves on *every* construction pass and
 #: is caught by the checker mirrors themselves.  ``copy-spoof`` fires
 #: once per node lifetime and the digest lies surface at the bank's

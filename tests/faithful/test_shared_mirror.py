@@ -17,10 +17,11 @@ import pytest
 from repro.faithful import (
     DEVIATION_CATALOGUE,
     FaithfulFPSSProtocol,
+    FaithfulRoutingNode,
     PrincipalMirror,
     construction_deviations,
     faithful_deviant_factory,
-    run_checked_construction,
+    run_checked_churn,
     verify_checked_network,
 )
 from repro.faithful.node import encode_flag
@@ -34,8 +35,8 @@ def sorted_flags(detection):
     return sorted((encode_flag(f) for f in detection.all_flags), key=repr)
 
 
-def run_protocol(graph, traffic, shared, batch=True, node_factory=None,
-                 link_delays=1.0):
+def run_protocol(graph, traffic, shared, batch=True,
+                 node_factory=FaithfulRoutingNode, link_delays=1.0):
     protocol = FaithfulFPSSProtocol(
         graph,
         traffic,
@@ -84,11 +85,11 @@ class TestObedientParity:
         rng = random.Random(7)
         g = random_biconnected_graph(10, rng)
         runs = {
-            mode: run_checked_construction(g, shared_checking=mode)
+            mode: run_checked_churn(g, shared_checking=mode)
             for mode in (True, False)
         }
         for mode, checked in runs.items():
-            verify_checked_network(g, checked)
+            verify_checked_network(g, checked.nodes, checked.all_flags)
         shared_nodes = runs[True].nodes
         private_nodes = runs[False].nodes
         for node_id in shared_nodes:
@@ -99,15 +100,15 @@ class TestObedientParity:
                 assert sm.pricing_digest() == pm.pricing_digest()
         # The dedup actually happened: strictly fewer checker-side
         # relaxations, positive shared-hit count, zero forks.
-        assert runs[True].kernel_stats.shared_hits > 0
-        assert runs[True].kernel_stats.forks == 0
+        assert runs[True].kernel_stats().shared_hits > 0
+        assert runs[True].kernel_stats().forks == 0
         # Per-neighbour mirrors account their work too (private
         # kernels are collected, not just the pool).
-        assert runs[False].kernel_stats.rows_ingested > 0
-        assert runs[False].kernel_stats.shared_hits == 0
+        assert runs[False].kernel_stats().rows_ingested > 0
+        assert runs[False].kernel_stats().shared_hits == 0
         assert (
-            runs[True].metrics["total_checker_computations"]
-            < runs[False].metrics["total_checker_computations"]
+            runs[True].simulator.metrics.total_checker_computations
+            < runs[False].simulator.metrics.total_checker_computations
         )
 
     def test_heterogeneous_delays_parity(self):
@@ -119,25 +120,25 @@ class TestObedientParity:
         def delays(a, b, _rng=random.Random(13)):
             return _rng.uniform(1.0, 2.5)
 
-        shared = run_checked_construction(g, link_delays=delays)
-        private = run_checked_construction(
+        shared = run_checked_churn(g, link_delays=delays)
+        private = run_checked_churn(
             g, link_delays=delays, shared_checking=False
         )
-        assert shared.flags == [] and private.flags == []
+        assert shared.all_flags == [] and private.all_flags == []
         for node_id in shared.nodes:
             assert (
                 shared.nodes[node_id].comp.full_digest()
                 == private.nodes[node_id].comp.full_digest()
             )
-        assert shared.kernel_stats.forks == 0
+        assert shared.kernel_stats().forks == 0
 
     @pytest.mark.parametrize("batch", [True, False])
     def test_unbatched_mode_shares_too(self, batch):
         rng = random.Random(3)
         g = random_biconnected_graph(6, rng)
-        checked = run_checked_construction(g, batch_delivery=batch)
-        verify_checked_network(g, checked)
-        assert checked.kernel_stats.shared_hits > 0
+        checked = run_checked_churn(g, batch_delivery=batch)
+        verify_checked_network(g, checked.nodes, checked.all_flags)
+        assert checked.kernel_stats().shared_hits > 0
 
     def test_collected_flags_identical_across_modes(self):
         """The canonical flag collection (Flag.sort_key ordering) is
@@ -146,8 +147,8 @@ class TestObedientParity:
 
         rng = random.Random(17)
         g = random_biconnected_graph(8, rng)
-        shared = run_checked_construction(g, shared_checking=True)
-        private = run_checked_construction(g, shared_checking=False)
+        shared = run_checked_churn(g, shared_checking=True)
+        private = run_checked_churn(g, shared_checking=False)
         assert collect_construction_flags(shared.nodes) == (
             collect_construction_flags(private.nodes)
         )

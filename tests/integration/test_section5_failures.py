@@ -16,30 +16,34 @@ import random
 
 import pytest
 
-from repro.faithful import FaithfulFPSSProtocol
+from repro.faithful import FaithfulFPSSProtocol, FaithfulRoutingNode
 from repro.routing import figure1_graph
 from repro.sim import FailstopAdapter, OmissionAdapter
 from repro.workloads import uniform_all_pairs
 
 
 def omission_on(target, prob, seed=0):
-    """A node_adapters hook installing send omissions on one node."""
+    """A node factory installing send omissions on one node."""
 
-    def install(node):
-        if node.node_id == target:
+    def factory(node_id, cost, signing):
+        node = FaithfulRoutingNode(node_id, cost, signing)
+        if node_id == target:
             OmissionAdapter(
                 node, random.Random(seed), send_drop_prob=prob
             )
+        return node
 
-    return install
+    return factory
 
 
 def failstop_on(target, fail_time):
-    def install(node):
-        if node.node_id == target:
+    def factory(node_id, cost, signing):
+        node = FaithfulRoutingNode(node_id, cost, signing)
+        if node_id == target:
             FailstopAdapter(node, fail_time=fail_time)
+        return node
 
-    return install
+    return factory
 
 
 class TestOmissionFalsePunish:
@@ -49,7 +53,7 @@ class TestOmissionFalsePunish:
         result = FaithfulFPSSProtocol(
             fig1,
             fig1_traffic,
-            node_adapters=omission_on("C", prob=0.3, seed=5),
+            node_factory=omission_on("C", prob=0.3, seed=5),
         ).run()
         assert result.detection.detected_any
 
@@ -60,7 +64,7 @@ class TestOmissionFalsePunish:
         result = FaithfulFPSSProtocol(
             fig1,
             fig1_traffic,
-            node_adapters=omission_on("C", prob=0.5, seed=5),
+            node_factory=omission_on("C", prob=0.5, seed=5),
         ).run()
         assert not result.progressed
         assert all(u < 0 for u in result.utilities.values())
@@ -70,7 +74,7 @@ class TestOmissionFalsePunish:
         result = FaithfulFPSSProtocol(
             fig1,
             fig1_traffic,
-            node_adapters=omission_on("C", prob=0.0),
+            node_factory=omission_on("C", prob=0.0),
         ).run()
         assert result.progressed
         assert not result.detection.detected_any
@@ -83,7 +87,7 @@ class TestFailstopInteraction:
         result = FaithfulFPSSProtocol(
             fig1,
             fig1_traffic,
-            node_adapters=failstop_on("D", fail_time=3.0),
+            node_factory=failstop_on("D", fail_time=3.0),
         ).run()
         assert result.detection.detected_any
         assert not result.progressed
@@ -92,7 +96,7 @@ class TestFailstopInteraction:
         result = FaithfulFPSSProtocol(
             fig1,
             fig1_traffic,
-            node_adapters=failstop_on("D", fail_time=0.0),
+            node_factory=failstop_on("D", fail_time=0.0),
         ).run()
         assert not result.progressed
         # Phase 1 itself cannot certify: D's declaration never floods.

@@ -42,7 +42,7 @@ from repro.faithful.manipulations import (
     construction_deviations,
     faithful_deviant_factory,
 )
-from repro.faithful.protocol import run_checked_construction
+from repro.faithful.epochs import run_checked_churn
 from repro.routing import ASGraph, figure1_graph
 from repro.routing.kernel import (
     KIND_PRICE_UPDATE,
@@ -361,8 +361,8 @@ class TestOpLogReplayParity:
         def delays(a, b, _rng=random.Random(17)):
             return _rng.uniform(1.0, 2.5)
 
-        construction = run_checked_construction(graph, link_delays=delays)
-        assert construction.flags == []
+        construction = run_checked_churn(graph, link_delays=delays)
+        assert construction.all_flags == []
         pool = _shared_pool(construction)
         entries = sorted(pool._kernels.values(), key=lambda e: repr(e.owner))
         assert entries and any(entry.ops for entry in entries)
@@ -371,8 +371,8 @@ class TestOpLogReplayParity:
 
     def test_private_checking_matches_shared_digests(self):
         graph = random_biconnected_graph(8, random.Random(3))
-        shared = run_checked_construction(graph, shared_checking=True)
-        private = run_checked_construction(graph, shared_checking=False)
+        shared = run_checked_churn(graph, shared_checking=True)
+        private = run_checked_churn(graph, shared_checking=False)
         for node_id in shared.nodes:
             assert (
                 shared.nodes[node_id].comp.full_digest()
@@ -390,9 +390,10 @@ class TestOpLogReplayParity:
         # A deviant in the network may fork mirrors off the shared log,
         # but every *verified* log prefix must still replay exactly on
         # the dict kernel — divergence handling never corrupts the log.
-        construction = run_checked_construction(
+        construction = run_checked_churn(
             figure1_graph(),
             node_factory=faithful_deviant_factory(spec, "C"),
+            verify=False,
         )
         for entry in _shared_pool(construction)._kernels.values():
             _replay_log_through_dict(entry)

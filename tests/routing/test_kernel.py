@@ -23,7 +23,7 @@ from repro.routing import (
     figure1_graph,
     kernel_fixed_point,
     run_plain_fpss,
-    verify_against_kernel,
+    verify_epoch_equivalence,
 )
 from repro.routing.kernel import (
     KIND_PRICE_UPDATE,
@@ -86,7 +86,7 @@ class TestKernelFixedPoint:
         rng = random.Random(seed)
         graph = random_biconnected_graph(10, rng)
         _, nodes, _ = run_plain_fpss(graph)
-        verify_against_kernel(graph, nodes)
+        verify_epoch_equivalence(graph, nodes)
 
     def test_kernel_fixed_point_deterministic(self):
         graph = figure1_graph()
